@@ -23,7 +23,11 @@ from .verify import Certificate, ball_sanity, is_i_neighborly, is_r_stacked, sph
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One census item: the antichain, the ball, the sphere, its certificates."""
+    """One census item: the antichain, the ball, the sphere, its certificates.
+
+    The ball and sphere are fresh complexes: the faces derived while
+    certifying them are not kept with the entry.
+    """
 
     antichain: Antichain
     ball: Complex
@@ -58,36 +62,47 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     return result
 
 
+def _certified(s: Antichain, ball: Complex, sphere: Complex,
+               certs: tuple[Certificate, ...]) -> CensusEntry:
+    if not all(c.verdict is True for c in certs):
+        bad = [c.property for c in certs if c.verdict is not True]
+        raise RuntimeError(f"certificates {bad} failed for antichain {s.elements}")
+    return CensusEntry(s, Complex(ball.maximal_faces), Complex(sphere.maximal_faces), certs)
+
+
 def _even_entry(k: int, n: int, a: Antichain) -> CensusEntry:
     s = a.to_pair_facets()
     ball = relative_ball(s)
     sphere = sew(cyclic_boundary(2 * k, n), ball, n + 1)
-    certs = (
+    return _certified(s, ball, sphere, (
         is_i_neighborly(ball, k - 1, range(1, n + 1)),
         is_r_stacked(ball, k - 1),
         is_i_neighborly(sphere, k, range(1, n + 2)),
         sphere_sanity(sphere),
-    )
-    if not all(c.verdict is True for c in certs):
-        bad = [c.property for c in certs if c.verdict is not True]
-        raise RuntimeError(f"certificates {bad} failed for antichain {s.elements}")
-    return CensusEntry(s, ball, sphere, certs)
+    ))
 
 
 def _odd_entry(k: int, n: int, a: Antichain) -> CensusEntry:
     s = a.to_pair_facets()
     ball = relative_ball(s)
     sphere = boundary_complex(ball)
-    certs = (
+    return _certified(s, ball, sphere, (
         is_i_neighborly(ball, k - 1, range(1, n + 1)),
         is_r_stacked(ball, k - 1),
         is_i_neighborly(sphere, k - 1, range(1, n + 1)),
         sphere_sanity(sphere),
-    )
-    if not all(c.verdict is True for c in certs):
-        bad = [c.property for c in certs if c.verdict is not True]
-        raise RuntimeError(f"certificates {bad} failed for antichain {s.elements}")
-    return CensusEntry(s, ball, sphere, certs)
+    ))
+
+
+def _check_census(parity: str, k: int, n: int) -> None:
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if k < 2:
+        raise ValueError(f"census needs k >= 2, got {k}")
+    if parity == "even" and n < 2 * k + 2:
+        raise ValueError(f"census needs n >= 2k+2, got n={n}")
+    if parity == "odd" and n < 2 * k:
+        raise ValueError(f"census needs n >= 2k, got n={n}")
 
 
 def _family(k: int, n: int) -> Iterator[Antichain]:
@@ -96,20 +111,14 @@ def _family(k: int, n: int) -> Iterator[Antichain]:
 
 def even_census(k: int, n: int) -> Iterator[CensusEntry]:
     """Certified (2k-1)-spheres on [n+1] sewn from relative balls, k-neighborly."""
-    if k < 2:
-        raise ValueError(f"census needs k >= 2, got {k}")
-    if n < 2 * k + 2:
-        raise ValueError(f"census needs n >= 2k+2, got n={n}")
+    _check_census("even", k, n)
     for a in _family(k, n):
         yield _even_entry(k, n, a)
 
 
 def odd_census(k: int, n: int) -> Iterator[CensusEntry]:
     """Certified (2k-2)-spheres on [n]: boundaries of the squeezed balls."""
-    if k < 2:
-        raise ValueError(f"census needs k >= 2, got {k}")
-    if n < 2 * k:
-        raise ValueError(f"census needs n >= 2k, got n={n}")
+    _check_census("odd", k, n)
     for a in _family(k, n):
         yield _odd_entry(k, n, a)
 
@@ -125,17 +134,12 @@ def collect_census(parity: str, k: int, n: int, jobs: int = 1) -> list[CensusEnt
 
     Entry order matches the serial generators regardless of the job count.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _check_census(parity, k, n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         gen = even_census(k, n) if parity == "even" else odd_census(k, n)
         return list(gen)
-    if parity == "even" and (k < 2 or n < 2 * k + 2):
-        raise ValueError(f"census needs k >= 2 and n >= 2k+2, got k={k}, n={n}")
-    if parity == "odd" and (k < 2 or n < 2 * k):
-        raise ValueError(f"census needs k >= 2 and n >= 2k, got k={k}, n={n}")
     tasks = [(parity, k, n, a.elements) for a in _family(k, n)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_job, tasks))

@@ -6,17 +6,22 @@ at all) or non-void; the non-void complex whose only face is the empty
 face is the *empty complex*.  The two are distinct values and every
 operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
+
+What is derived from a complex's facets (its faces by size, the ridge
+incidence, the boundary and the Betti numbers) is computed at most once per
+complex and kept in a private record attached to it.  The record is a cache:
+it takes no part in equality, hashing, repr or pickling.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 Face = tuple[int, ...]
 FVector = tuple[int, ...]
@@ -34,6 +39,18 @@ def face(vertices: Iterable[int]) -> Face:
     return vs
 
 
+class _Derived:
+    """What is computed from the facets of one complex, each part on first use."""
+
+    __slots__ = ("faces", "ridges", "boundary", "betti")
+
+    def __init__(self) -> None:
+        self.faces: dict[int, frozenset[Face]] = {}  # size -> faces of that size
+        self.ridges: dict[Face, tuple[Face, ...]] | None = None
+        self.boundary: Complex | None = None
+        self.betti: tuple[int, ...] | None = None
+
+
 @dataclass(frozen=True)
 class Complex:
     """A simplicial complex; ``maximal_faces is None`` encodes the void complex."""
@@ -44,7 +61,8 @@ class Complex:
         if self.maximal_faces is None:
             return
         for f in self.maximal_faces:
-            face(f)
+            if face(f) != f:
+                raise ValueError(f"face must be an increasing tuple: {f}")
         # containment can only happen across different facet sizes
         by_len: dict[int, list[set[int]]] = {}
         for f in self.maximal_faces:
@@ -124,6 +142,29 @@ class Complex:
             return "Complex(EMPTY)"
         return f"Complex({len(self.maximal_faces)} facets, dim {self.dimension})"
 
+    def __reduce__(self):
+        # pickles carry the facets only, never the derived record
+        return (Complex, (self.maximal_faces,))
+
+    @cached_property
+    def _derived(self) -> _Derived:
+        return _Derived()
+
+
+def faces_of_size(c: Complex, size: int) -> frozenset[Face]:
+    """Every face with exactly `size` vertices; empty above the top dimension."""
+    if c.is_void:
+        raise ValueError("void has no faces")
+    if size < 0:
+        raise ValueError(f"face size must be >= 0, got {size}")
+    known = c._derived.faces
+    if size not in known:
+        out: set[Face] = set()
+        for m in c.maximal_faces:
+            out.update(combinations(m, size))
+        known[size] = frozenset(out)
+    return known[size]
+
 
 def all_faces(c: Complex, k: int) -> frozenset[Face]:
     """Every face of dimension at most k (the k-skeleton as a face set)."""
@@ -131,11 +172,8 @@ def all_faces(c: Complex, k: int) -> frozenset[Face]:
         raise ValueError("void has no faces")
     if k < -1:
         raise ValueError(f"skeleton dimension must be >= -1, got {k}")
-    out: set[Face] = {()}
-    for m in c.maximal_faces:
-        for size in range(1, min(len(m), k + 1) + 1):
-            out.update(combinations(m, size))
-    return frozenset(out)
+    top = min(k, c.dimension) + 1
+    return frozenset().union(*(faces_of_size(c, size) for size in range(top + 1)))
 
 
 def link(c: Complex, t: Iterable[int]) -> Complex:
@@ -217,8 +255,7 @@ def f_vector(c: Complex) -> FVector:
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} = 1 always."""
     if c.is_void:
         raise ValueError("void has no faces")
-    counts = Counter(len(f) for f in all_faces(c, c.dimension))
-    return tuple(counts[i] for i in range(c.dimension + 2))
+    return tuple(len(faces_of_size(c, size)) for size in range(c.dimension + 2))
 
 
 def h_vector(f: FVector, d: int) -> HVector:
@@ -234,8 +271,12 @@ def h_vector(f: FVector, d: int) -> HVector:
         for j in range(d + 1))
 
 
-def ridge_facets(c: Complex) -> dict[Face, tuple[Face, ...]]:
-    """Map each ridge (codimension-1 face) to the facets containing it."""
+def ridge_facets(c: Complex) -> Mapping[Face, tuple[Face, ...]]:
+    """Map each ridge (codimension-1 face) to the facets containing it.
+
+    Ridges appear in the order their first facet comes in sorted facet order,
+    and each ridge's facets in sorted order.  The map is read-only.
+    """
     if c.is_void:
         raise ValueError("void has no faces")
     if not c.is_pure:
@@ -243,11 +284,14 @@ def ridge_facets(c: Complex) -> dict[Face, tuple[Face, ...]]:
     d = c.dimension
     if d < 0:
         raise ValueError("no ridges in the empty complex")
-    out: dict[Face, list[Face]] = {}
-    for m in c.facets:
-        for r in combinations(m, d):
-            out.setdefault(r, []).append(m)
-    return {r: tuple(ms) for r, ms in out.items()}
+    record = c._derived
+    if record.ridges is None:
+        out: dict[Face, list[Face]] = {}
+        for m in c.facets:
+            for r in combinations(m, d):
+                out.setdefault(r, []).append(m)
+        record.ridges = {r: tuple(ms) for r, ms in out.items()}
+    return MappingProxyType(record.ridges)
 
 
 def boundary_complex(b: Complex) -> Complex:
@@ -259,60 +303,62 @@ def boundary_complex(b: Complex) -> Complex:
     in three or more facets.
     """
     incidence = ridge_facets(b)
-    for r, ms in incidence.items():
-        if len(ms) > 2:
-            raise ValueError("not a pseudomanifold")
-    bd = [r for r, ms in incidence.items() if len(ms) == 1]
-    if not bd:
-        return Complex.empty()
-    return Complex(frozenset(bd))
+    record = b._derived
+    if record.boundary is None:
+        for r, ms in incidence.items():
+            if len(ms) > 2:
+                raise ValueError("not a pseudomanifold")
+        bd = [r for r, ms in incidence.items() if len(ms) == 1]
+        record.boundary = Complex(frozenset(bd)) if bd else Complex.empty()
+    return record.boundary
 
 
-def _gf2_rank(columns: list[int]) -> int:
-    """Rank over GF(2) of a matrix given as column bitmasks."""
+def _gf2_pivots(columns: Iterable[int]) -> set[int]:
+    """Pivot rows of a GF(2) matrix given as column bitmasks, reduced by
+    highest set bit; there is one pivot per unit of rank."""
     basis: dict[int, int] = {}
     for v in columns:
         while v:
             h = v.bit_length() - 1
-            if h in basis:
-                v ^= basis[h]
-            else:
+            b = basis.get(h)
+            if b is None:
                 basis[h] = v
                 break
-    return len(basis)
+            v ^= b
+    return set(basis)
 
 
 def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     """Reduced mod-2 Betti numbers in dimensions -1 .. dim(c).
 
     Computed from the ranks of the boundary matrices of the reduced chain
-    complex (the empty face spans the (-1)-chains).
+    complex (the empty face spans the (-1)-chains), from the top dimension
+    down with clearing (Chen and Kerber, "Persistent homology computation
+    with a twist", 2011): a face that is the pivot row of a reduced column
+    one dimension up has a boundary in the span of the boundaries of faces
+    before it, so its column is skipped without changing the rank.
     """
     if c.is_void:
         raise ValueError("void has no faces")
+    record = c._derived
+    if record.betti is not None:
+        return record.betti
     dim = c.dimension
-    by_dim: list[list[Face]] = [[] for _ in range(dim + 2)]
-    for f in all_faces(c, dim):
-        by_dim[len(f)].append(f)
-    for fs in by_dim:
-        fs.sort()
-    index = [{f: i for i, f in enumerate(fs)} for fs in by_dim]
-    # ranks[i+1] = rank of the boundary map from i-faces to (i-1)-faces
+    # any fixed order is correct; sorted order keeps the reductions short
+    by_size = [sorted(faces_of_size(c, size)) for size in range(dim + 2)]
+    # ranks[s] = rank of the boundary map from faces of size s to size s-1
     ranks = [0] * (dim + 3)
-    for i in range(0, dim + 1):
-        rows = index[i]  # (i-1)-faces have i vertices
-        cols = []
-        for f in by_dim[i + 1]:
-            mask = 0
-            for sub in combinations(f, i):
-                mask |= 1 << rows[sub]
-            cols.append(mask)
-        ranks[i + 1] = _gf2_rank(cols)
-    betti = []
-    for i in range(-1, dim + 1):
-        n_faces = len(by_dim[i + 1])
-        betti.append(n_faces - ranks[i + 1] - ranks[i + 2])
-    return tuple(betti)
+    cleared: set[int] = set()  # indices into by_size[s] of columns to skip
+    for s in range(dim + 1, 0, -1):
+        bit = {f: 1 << i for i, f in enumerate(by_size[s - 1])}.__getitem__
+        # the subfaces are distinct, so their sum is the column's bitmask
+        columns = (sum(map(bit, combinations(f, s - 1)))
+                   for j, f in enumerate(by_size[s]) if j not in cleared)
+        cleared = _gf2_pivots(columns)
+        ranks[s] = len(cleared)
+    record.betti = tuple(
+        len(by_size[s]) - ranks[s] - ranks[s + 1] for s in range(dim + 2))
+    return record.betti
 
 
 _HEADER = re.compile(r"^complex d=(\d+) n=(\d+)$")
@@ -359,7 +405,3 @@ def parse_complex(text: str) -> Complex:
     if not facets:
         raise ValueError("header present but no facets")
     return Complex(frozenset(facets))
-
-
-boundary_complex = lru_cache(maxsize=4096)(boundary_complex)
-z2_reduced_betti = lru_cache(maxsize=4096)(z2_reduced_betti)

@@ -17,9 +17,9 @@ from typing import Any, Iterable
 from .faces import (
     Complex,
     Face,
-    all_faces,
     boundary_complex,
     f_vector,
+    faces_of_size,
     h_vector,
     ridge_facets,
     z2_reduced_betti,
@@ -63,8 +63,9 @@ def is_i_neighborly(c: Complex, i: int, vertex_set: Iterable[int]) -> Certificat
     if c.is_void or not set(c.vertices) <= set(verts):
         raise ValueError("vertex set must contain the vertices of the complex")
     name = f"neighborly({i})"
+    faces = faces_of_size(c, i)
     for sub in combinations(verts, i):
-        if sub not in c:
+        if sub not in faces:
             return Certificate(name, False, witness=sub)
     return Certificate(name, True)
 
@@ -85,15 +86,12 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     dim = b.dimension
     cut = dim - r - 1
     witness = None
-    if cut < -1:
-        by_skeleton = True
-    else:
-        inner = all_faces(b, cut)
-        outer = all_faces(bd, cut)
-        missing = inner - outer
-        by_skeleton = not missing
+    for size in range(cut + 2):
+        missing = faces_of_size(b, size) - faces_of_size(bd, size)
         if missing:
-            witness = min(missing, key=lambda f: (len(f), f))
+            witness = min(missing)
+            break
+    by_skeleton = witness is None
     h = h_vector(f_vector(b), dim + 1)
     by_h = all(x == 0 for x in h[r + 1:])
     if by_skeleton != by_h:

@@ -1,6 +1,8 @@
 """Exit codes, output formats, and file round trips of the command line."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from neighborly.squeezed import relative_ball, relative_ball_general
 
 S28_TEXT = "(1,2,7,8) (3,4,6,7)"
 REL = relative_ball(Antichain(2, 8, ((1, 2, 7, 8), (3, 4, 6, 7))))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_lines(capsys, argv):
@@ -228,3 +231,24 @@ def test_census_counts_table(capsys):
 
 def test_census_counts_rejects_bad_range(capsys):
     assert run(["census-counts", "--k", "2", "--n-min", "9", "--n-max", "6"]) == 2
+
+
+def readme_command_lines():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [ln.strip() for ln in block.splitlines() if ln.strip()]
+
+
+def test_readme_command_lines_exit_zero(tmp_path, monkeypatch, capsys):
+    (tmp_path / "S.txt").write_text(S28_TEXT + "\n", encoding="utf-8")
+    (tmp_path / "T.txt").write_text("(2,3,5,6)\n", encoding="utf-8")
+    (tmp_path / "ball.txt").write_text(format_complex(REL), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = readme_command_lines()
+    assert len(lines) == 9
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "neighborly"
+        code = run(argv[1:])
+        err = capsys.readouterr().err
+        assert code == 0, f"{line!r} exited {code}: {err}"

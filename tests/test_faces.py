@@ -20,6 +20,7 @@ from neighborly.faces import (
 )
 
 from oracles import closure_faces, f_vector_by_closure, fh_identity_holds
+from test_fast_paths import CENSUS, MIXED, PURE
 
 # Running example used throughout: two pair facets on [8] and the five-facet
 # relative ball they generate.
@@ -56,6 +57,8 @@ def test_void_and_empty_are_distinct():
 def test_maximal_face_containment_rejected():
     with pytest.raises(ValueError):
         Complex(frozenset({(1, 2), (1, 2, 3)}))
+    with pytest.raises(ValueError, match="increasing"):
+        Complex(frozenset({(3, 1, 2)}))
     # from_facets absorbs dominated faces instead
     c = Complex.from_facets([(1, 2), (1, 2, 3)])
     assert c.facets == ((1, 2, 3),)
@@ -189,7 +192,7 @@ def test_f_vector_values():
 
 
 def test_f_vector_matches_closure_oracle():
-    for c in (TETRA, BALL_5, BALL_10):
+    for c in [TETRA, BALL_5, BALL_10] + PURE + MIXED + CENSUS:
         assert f_vector(c) == f_vector_by_closure(c.facets)
 
 

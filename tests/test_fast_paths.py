@@ -1,0 +1,131 @@
+"""Fast paths against slow references: the clearing GF(2) kernel, the ridge
+map and the neighborliness lookup; and the derived-face record staying out
+of equality, hashing, repr and pickles."""
+
+import pickle
+import random
+from itertools import combinations
+
+import pytest
+
+from neighborly.construct import even_census
+from neighborly.faces import (
+    Complex,
+    boundary_complex,
+    f_vector,
+    ridge_facets,
+    z2_reduced_betti,
+)
+from neighborly.verify import (
+    ball_sanity,
+    find_shelling,
+    is_i_neighborly,
+    is_r_stacked,
+    sphere_sanity,
+)
+
+from oracles import closure_faces, ridge_multiplicities
+
+
+def slow_gf2_rank(columns):
+    basis = {}
+    for v in columns:
+        while v:
+            h = v.bit_length() - 1
+            if h in basis:
+                v ^= basis[h]
+            else:
+                basis[h] = v
+                break
+    return len(basis)
+
+
+def slow_z2_reduced_betti(c):
+    """Full elimination of every boundary matrix, no clearing."""
+    dim = c.dimension
+    by_dim = [sorted(f for f in closure_faces(c.facets) if len(f) == size)
+              for size in range(dim + 2)]
+    index = [{f: i for i, f in enumerate(fs)} for fs in by_dim]
+    ranks = [0] * (dim + 3)
+    for i in range(dim + 1):
+        cols = []
+        for f in by_dim[i + 1]:
+            mask = 0
+            for sub in combinations(f, i):
+                mask |= 1 << index[i][sub]
+            cols.append(mask)
+        ranks[i + 1] = slow_gf2_rank(cols)
+    return tuple(len(by_dim[i + 1]) - ranks[i + 1] - ranks[i + 2] for i in range(-1, dim + 1))
+
+
+def scan_neighborly(c, i, verts):
+    """Verdict and witness by scanning every facet for every i-subset."""
+    for sub in combinations(sorted(set(verts)), i):
+        if not any(set(sub) <= set(m) for m in c.maximal_faces):
+            return False, sub
+    return True, None
+
+
+def random_complexes(seed, count, pure):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 8)
+        dim = rng.randint(0, min(4, n - 1))
+        facets = []
+        for _ in range(rng.randint(1, 10)):
+            size = dim + 1 if pure else rng.randint(1, dim + 1)
+            facets.append(rng.sample(range(1, n + 1), size))
+        out.append(Complex.from_facets(facets))
+    return out
+
+
+PURE = random_complexes(11, 60, pure=True)
+MIXED = random_complexes(12, 60, pure=False)
+CENSUS = [c for e in even_census(3, 9) for c in (e.ball, boundary_complex(e.ball), e.sphere)]
+
+
+@pytest.mark.parametrize("complexes", [PURE, MIXED, CENSUS], ids=["pure", "mixed", "census"])
+def test_clearing_betti_matches_full_elimination(complexes):
+    for c in complexes:
+        assert z2_reduced_betti(c) == slow_z2_reduced_betti(c), c.facets
+
+
+def test_ridge_map_matches_multiplicity_oracle():
+    for c in PURE + CENSUS:
+        incidence = ridge_facets(c)
+        assert {r: len(ms) for r, ms in incidence.items()} == dict(ridge_multiplicities(c.facets))
+        for r, ms in incidence.items():
+            assert list(ms) == sorted(ms)
+            assert all(set(r) < set(m) for m in ms)
+
+
+def test_neighborly_lookup_matches_facet_scan():
+    cases = [(c, i) for c in PURE + MIXED for i in range(1, c.dimension + 3)]
+    cases += [(c, i) for c in CENSUS for i in (2, 3, 4)]
+    cases += [(Complex.empty(), 1), (Complex.empty(), 2)]
+    for c, i in cases:
+        top = max(c.vertices, default=0)
+        for verts in (c.vertices, range(1, top + 2)):
+            cert = is_i_neighborly(c, i, verts)
+            assert (cert.verdict, cert.witness) == scan_neighborly(c, i, verts), (c.facets, i)
+
+
+def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
+    for e in even_census(2, 8):
+        ball, sphere = e.ball, e.sphere
+        ball_sanity(ball)
+        is_r_stacked(ball, 1)
+        is_i_neighborly(ball, 1, range(1, 9))
+        find_shelling(ball)
+        sphere_sanity(sphere)
+        is_i_neighborly(sphere, 2, range(1, 10))
+        for c in (ball, boundary_complex(ball), sphere):
+            f_vector(c)
+            ridge_facets(c)
+            z2_reduced_betti(c)
+            fresh = Complex(c.maximal_faces)
+            assert c == fresh and hash(c) == hash(fresh)
+            assert repr(c) == repr(fresh)
+            assert len(pickle.dumps(c)) == len(pickle.dumps(fresh))
+            assert pickle.loads(pickle.dumps(c)) == c
