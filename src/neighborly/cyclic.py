@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .faces import Complex, Face, face
+from .posets import pair_facets
 
 
 def gale_even(f: Iterable[int], d: int, n: int) -> bool:
@@ -36,20 +37,9 @@ def gale_even(f: Iterable[int], d: int, n: int) -> bool:
     return True
 
 
-def _pair_starts(count: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Start positions of `count` disjoint non-adjacent pairs within [lo, hi+1]."""
-    if count == 0:
-        yield ()
-        return
-    # substitute c_t = i_t - (t-1): gap-2 starts become strictly increasing c
-    for c in combinations(range(lo, hi - count + 2), count):
-        yield tuple(c[t] + t for t in range(count))
-
-
 def _even_facets(k: int, n: int) -> Iterator[Face]:
     """Facets of the cyclic 2k-polytope on [n], by run structure."""
-    for starts in _pair_starts(k, 1, n - 1):
-        yield tuple(v for i in starts for v in (i, i + 1))
+    yield from pair_facets(k, 1, n)
     # odd run [1, a], interior pairs, odd run [n-b+1, n]; a or b may cover
     # the whole facet, and either end run may be absent (length 0 handled
     # by the pairs-only case above)
@@ -58,8 +48,7 @@ def _even_facets(k: int, n: int) -> Iterator[Face]:
             rest = (2 * k - a - b) // 2
             head = tuple(range(1, a + 1))
             tail = tuple(range(n - b + 1, n + 1))
-            for starts in _pair_starts(rest, a + 2, n - b - 2):
-                mid = tuple(v for i in starts for v in (i, i + 1))
+            for mid in pair_facets(rest, a + 2, n - b - 1):
                 yield head + mid + tail
 
 

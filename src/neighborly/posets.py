@@ -13,7 +13,6 @@ k = 0 may contain the empty tuple as its only element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -111,7 +110,20 @@ def antichain_lt(t: Antichain, s: Antichain) -> bool:
     return all(any(componentwise_lt(g, f) for f in s) for g in t)
 
 
-@lru_cache(maxsize=None)
+def _down_set(top: tuple[int, ...], width: int, lo: int = 1) -> list[tuple[int, ...]]:
+    """Elements componentwise below top whose smallest label is at least lo, sorted.
+
+    The elements are runs of `width` consecutive labels (1 for grid points, 2
+    for pair facets); each run starts after the previous one ends and no later
+    than the run of top in the same position.
+    """
+    out: list[tuple[int, ...]] = [()]
+    for t in top[::width]:
+        out = [x + tuple(range(i, i + width))
+               for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
+    return out
+
+
 def pair_facets(k: int, m: int, n: int) -> tuple[Face, ...]:
     """All pair facets on [n] whose leftmost label is at least m, sorted.
 
@@ -119,24 +131,13 @@ def pair_facets(k: int, m: int, n: int) -> tuple[Face, ...]:
     """
     if k < 0 or m < 1:
         raise ValueError(f"bad parameters k={k}, m={m}")
-    if k == 0:
-        return ((),)
-    out = []
-    # pair starts i_1 < ... < i_k with i_1 >= m, i_k <= n-1, gaps >= 2;
-    # subtracting t-1 from the t-th start turns the gaps into strict increase
-    for c in combinations(range(m, n - k + 1), k):
-        starts = tuple(c[t] + t for t in range(k))
-        out.append(tuple(v for i in starts for v in (i, i + 1)))
-    return tuple(sorted(out))
+    return tuple(_down_set(tuple(range(n - 2 * k + 1, n + 1)), 2, m))
 
 
-@lru_cache(maxsize=None)
 def grid_points(k: int, n: int) -> tuple[GridPoint, ...]:
     """All grid points for the given ambient, sorted."""
     if k < 0:
         raise ValueError(f"bad parameter k={k}")
-    if k == 0:
-        return ((),)
     return tuple(combinations(range(1, n - k + 1), k))
 
 
@@ -164,15 +165,10 @@ def shift_down(s: Antichain) -> Antichain:
     return Antichain(s.k, s.n, kept, grid=s.grid)
 
 
-def _poset_elements(s: Antichain) -> tuple[tuple[int, ...], ...]:
-    return grid_points(s.k, s.n) if s.grid else pair_facets(s.k, 1, s.n)
-
-
 def order_ideal(s: Antichain) -> frozenset[tuple[int, ...]]:
-    """Downward closure of s in its ambient poset."""
-    return frozenset(
-        x for x in _poset_elements(s)
-        if any(componentwise_leq(x, e) for e in s))
+    """Downward closure of s in its ambient poset: the union of its elements' down-sets."""
+    width = 1 if s.grid else 2
+    return frozenset(x for e in s for x in _down_set(e, width))
 
 
 def ideal_with_min(s: Antichain, m: int) -> frozenset[tuple[int, ...]]:
@@ -200,7 +196,10 @@ def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
     the order ideal of s that starts with exactly J and continues at or after
     j+2l, strip J from each, and return the maximal tails.  The result lives
     among pair facets with l fewer pairs; when l = k the only possible tail
-    is the empty facet.
+    is the empty facet.  J + H lies below an element e exactly when J lies
+    below the first 2l labels of e and H below the rest, so the maximal
+    tails are the maximal rests of the elements whose first 2l labels lie
+    above J.
     """
     if s.grid:
         raise ValueError("restrict operates on pair-facet antichains")
@@ -212,10 +211,7 @@ def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
     if l > s.k:
         raise ValueError(f"interval longer than the facets: {interval}")
     run = tuple(range(j, j + 2 * l))
-    tails = []
-    for x in order_ideal(s):
-        if x[:2 * l] == run and (len(x) == 2 * l or x[2 * l] >= j + 2 * l):
-            tails.append(x[2 * l:])
+    tails = (e[2 * l:] for e in s if componentwise_leq(run, e[:2 * l]))
     return Antichain(s.k - l, s.n, maximal_elements(tails), grid=False)
 
 

@@ -200,23 +200,24 @@ def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
 
 
 def _connected(c: Complex) -> bool:
-    """Facet-ridge connectivity of a pure complex."""
-    facets = c.facets
-    if len(facets) <= 1:
-        return True
-    adjacency: dict[Face, set[Face]] = {f: set() for f in facets}
+    """Facet-ridge connectivity of a pure complex, by union-find over the ridge map."""
+    parent = {f: f for f in c.facets}
+
+    def root(f: Face) -> Face:
+        while parent[f] != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
+
+    components = len(parent)
     for ms in ridge_facets(c).values():
-        for a, b in combinations(ms, 2):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {facets[0]}
-    queue = [facets[0]]
-    while queue:
-        for nxt in adjacency[queue.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(facets)
+        first = root(ms[0])
+        for other in ms[1:]:
+            r = root(other)
+            if r != first:
+                parent[r] = first
+                components -= 1
+    return components <= 1
 
 
 def sphere_sanity(c: Complex) -> Certificate:

@@ -1,6 +1,7 @@
 """Fast paths against slow references: the clearing GF(2) kernel, the ridge
-map and the neighborliness lookup; and the derived-face record staying out
-of equality, hashing, repr and pickles."""
+map, the neighborliness lookup, and order ideals, restrictions and pair
+facets built from down-sets; and the derived-face record staying out of
+equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -15,6 +16,14 @@ from neighborly.faces import (
     f_vector,
     ridge_facets,
     z2_reduced_betti,
+)
+from neighborly.posets import (
+    Antichain,
+    componentwise_leq,
+    maximal_elements,
+    order_ideal,
+    pair_facets,
+    restrict,
 )
 from neighborly.verify import (
     ball_sanity,
@@ -129,3 +138,85 @@ def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
             assert repr(c) == repr(fresh)
             assert len(pickle.dumps(c)) == len(pickle.dumps(fresh))
             assert pickle.loads(pickle.dumps(c)) == c
+
+
+def loop_pair_facets(k, m, n):
+    """Pair facets by substituting c_t = i_t - (t-1) in the gap-2 pair starts."""
+    if k < 0 or m < 1:
+        raise ValueError(f"bad parameters k={k}, m={m}")
+    if k == 0:
+        return ((),)
+    out = []
+    for c in combinations(range(m, n - k + 1), k):
+        starts = tuple(c[t] + t for t in range(k))
+        out.append(tuple(v for i in starts for v in (i, i + 1)))
+    return tuple(sorted(out))
+
+
+def scan_order_ideal(s):
+    """Every element of the ambient poset lying below some element of s."""
+    pool = combinations(range(1, s.n - s.k + 1), s.k) if s.grid else loop_pair_facets(s.k, 1, s.n)
+    return frozenset(x for x in pool if any(componentwise_leq(x, e) for e in s))
+
+
+def scan_restrict(s, interval):
+    """Maximal tails after the run, read off the scanned order ideal."""
+    if s.grid:
+        raise ValueError("restrict operates on pair-facet antichains")
+    j, hi = interval
+    length = hi - j + 1
+    if length < 2 or length % 2 or j < 1:
+        raise ValueError(f"need an even interval [j, j+2l-1] with j >= 1, got {interval}")
+    l = length // 2
+    if l > s.k:
+        raise ValueError(f"interval longer than the facets: {interval}")
+    run = tuple(range(j, j + 2 * l))
+    tails = [x[2 * l:] for x in scan_order_ideal(s)
+             if x[:2 * l] == run and (len(x) == 2 * l or x[2 * l] >= j + 2 * l)]
+    return Antichain(s.k - l, s.n, maximal_elements(tails))
+
+
+def random_antichains(seed):
+    """Seeded pair-facet antichains for k = 0..3 and n <= 10, n < 2k included."""
+    rng = random.Random(seed)
+    out = [Antichain(0, 4, ()), Antichain(0, 4, ((),)), Antichain(2, 3, ()), Antichain(3, 5, ())]
+    for k in range(4):
+        for n in range(11):
+            pool = loop_pair_facets(k, 1, n)
+            for _ in range(6):
+                picked = rng.sample(pool, rng.randint(0, min(len(pool), 5)))
+                out.append(Antichain(k, n, maximal_elements(picked)))
+    return out
+
+
+ANTICHAINS = random_antichains(13)
+
+
+def outcome(fn, *args):
+    """The result, or ValueError when the call rejects its arguments."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_pair_facets_match_substitution_loop():
+    for k in range(-1, 5):
+        for n in range(11):
+            for m in range(n + 3):
+                assert outcome(pair_facets, k, m, n) == outcome(loop_pair_facets, k, m, n), (k, m, n)
+
+
+def test_order_ideal_matches_poset_scan():
+    for s in ANTICHAINS:
+        for a in (s, s.to_grid()):
+            assert order_ideal(a) == scan_order_ideal(a), a
+
+
+def test_restrict_matches_ideal_scan():
+    for s in ANTICHAINS:
+        for j in range(s.n + 2):
+            for l in range(s.k + 2):
+                interval = (j, j + 2 * l - 1)
+                assert outcome(restrict, s, interval) == outcome(scan_restrict, s, interval), (s, interval)
+        assert outcome(restrict, s.to_grid(), (1, 2)) is ValueError

@@ -159,8 +159,8 @@ def test_ball_sanity_verdicts():
     assert ball_sanity(Complex.empty()).verdict is False
     closed = ball_sanity(cyclic_boundary(4, 6))
     assert closed.verdict is False and closed.witness == {"reason": "closed"}
-    wedge = Complex.from_facets([(1, 2, 3, 4), (4, 5, 6, 7)])
-    assert ball_sanity(wedge).verdict is False
+    wedge = ball_sanity(Complex.from_facets([(1, 2, 3, 4), (4, 5, 6, 7)]))
+    assert wedge.verdict is False and wedge.witness == {"reason": "disconnected"}
     path = Complex.from_facets([(1, 2), (2, 3)])
     assert ball_sanity(path).verdict is True
 
