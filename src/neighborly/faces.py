@@ -240,15 +240,15 @@ def complement(a: Complex, g: Complex) -> Complex:
 
 
 def intersect(a: Complex, b: Complex) -> Complex:
-    """Intersection of two complexes as face sets, by maximal faces."""
+    """Intersection of two complexes as face sets, by maximal faces.
+
+    Every common face lies in some meet of a facet of a with a facet of b,
+    so the maximal common faces are the maximal pairwise meets.
+    """
     if a.is_void or b.is_void:
         return Complex.void()
-    common = all_faces(a, a.dimension) & all_faces(b, b.dimension)
-    verts = {v for f in common for v in f}
-    # a common face is maximal iff no one-vertex extension is common
-    keep = [f for f in common
-            if not any(v not in f and tuple(sorted(f + (v,))) in common for v in verts)]
-    return Complex(frozenset(keep))
+    return Complex.from_facets(
+        set(fa).intersection(fb) for fa in a.maximal_faces for fb in b.maximal_faces)
 
 
 def f_vector(c: Complex) -> FVector:

@@ -23,12 +23,14 @@ from .posets import (
 )
 
 
+def _complex(facets: frozenset[Face]) -> Complex:
+    """Complex on a set of pair facets of one size; void when the set is empty."""
+    return Complex(facets) if facets else Complex.void()
+
+
 def _ideal_complex(s: Antichain, m: int = 1) -> Complex:
     """Complex on the min-filtered order ideal of s; void when the ideal is empty."""
-    facets = ideal_with_min(s, m)
-    if not facets:
-        return Complex.void()
-    return Complex(frozenset(facets))
+    return _complex(ideal_with_min(s, m))
 
 
 def squeezed_ball(s: Antichain, m: int = 1) -> Complex:
@@ -45,27 +47,46 @@ def relative_ball(s: Antichain) -> Complex:
     return complement(squeezed_ball(s), _ideal_complex(shift_down(s)))
 
 
-def relative_ball_general(s: Antichain, t: Antichain, i: int = 1) -> Complex:
-    """Facets of B(S, i) not in B(T, i), for T strictly below S."""
+def _require_below(s: Antichain, t: Antichain) -> None:
     if not antichain_lt(t, s):
         raise ValueError("subtracted antichain must lie strictly below")
+
+
+def relative_ball_general(s: Antichain, t: Antichain, i: int = 1) -> Complex:
+    """Facets of B(S, i) not in B(T, i), for T strictly below S."""
+    _require_below(s, t)
     b = _ideal_complex(s, i)
     if b.is_void:
         raise ValueError(f"ball of {s.elements} with minimum label {i} is void")
     return complement(b, _ideal_complex(t, i))
 
 
-def block_D(s: Antichain, t: Antichain, j: int) -> Complex:
-    """Facets of the relative ball whose leading pair starts at j."""
-    if not antichain_lt(t, s):
-        raise ValueError("subtracted antichain must lie strictly below")
+def _relative_ideal(s: Antichain, t: Antichain) -> frozenset[Face]:
+    """The pair facets below S and not below T that the blocks are cut from."""
+    _require_below(s, t)
     if s.k < 1:
         raise ValueError("blocks need at least one pair")
-    rel = order_ideal(s) - order_ideal(t)
-    block = frozenset(x for x in rel if x[0] == j)
-    if not block:
-        return Complex.void()
-    return Complex(block)
+    return order_ideal(s) - order_ideal(t)
+
+
+def _block(rel: frozenset[Face], j: int) -> Complex:
+    return _complex(frozenset(x for x in rel if x[0] == j))
+
+
+def block_D(s: Antichain, t: Antichain, j: int) -> Complex:
+    """Facets of the relative ball whose leading pair starts at j."""
+    return _block(_relative_ideal(s, t), j)
+
+
+def _common_tails(s: Antichain, t: Antichain, j: int, l: int, m: int) -> frozenset[Face]:
+    """The tails of block_Gamma with labels at or after m, as a set.
+
+    For T strictly below S every tail of T is a tail of S, so the complement
+    is a plain set difference.
+    """
+    upper = ideal_with_min(restrict(s, (j + 1, j + 2 * l)), m)
+    lower = ideal_with_min(restrict(t, (j, j + 2 * l - 1)), m)
+    return upper - lower
 
 
 def block_Gamma(s: Antichain, t: Antichain, j: int, l: int) -> Complex:
@@ -77,15 +98,8 @@ def block_Gamma(s: Antichain, t: Antichain, j: int, l: int) -> Complex:
     """
     if not 1 <= l <= s.k:
         raise ValueError(f"run length parameter must be in 1..{s.k}, got {l}")
-    if not antichain_lt(t, s):
-        raise ValueError("subtracted antichain must lie strictly below")
-    upper = restrict(s, (j + 1, j + 2 * l))
-    lower = restrict(t, (j, j + 2 * l - 1))
-    a = _ideal_complex(upper, j + 2 * l + 1)
-    g = _ideal_complex(lower, j + 2 * l + 1)
-    if a.is_void:
-        return Complex.void()
-    return complement(a, g)
+    _require_below(s, t)
+    return _complex(_common_tails(s, t, j, l, j + 2 * l + 1))
 
 
 def verify_decomposition(s: Antichain, i: int = 1) -> bool:
@@ -113,16 +127,6 @@ def verify_decomposition(s: Antichain, i: int = 1) -> bool:
     return direct == pieced
 
 
-def _union(parts: list[Complex]) -> Complex:
-    facets: set[Face] = set()
-    for p in parts:
-        if not p.is_void:
-            facets.update(p.maximal_faces)
-    if not facets:
-        return Complex.void()
-    return Complex(frozenset(facets))
-
-
 def verify_intersection_formula(s: Antichain, t: Antichain, j: int) -> bool:
     """Check both stated forms of the intersection of consecutive blocks.
 
@@ -131,28 +135,18 @@ def verify_intersection_formula(s: Antichain, t: Antichain, j: int) -> bool:
     common-tail complexes joined with initial segments.  Raises when the
     block at j+1 is void, since the statement presumes it is not.
     """
-    dj = block_D(s, t, j)
-    dj1 = block_D(s, t, j + 1)
+    rel = _relative_ideal(s, t)
+    dj1 = _block(rel, j + 1)
     if dj1.is_void:
         raise ValueError("hypothesis of lemma violated")
-    lhs = intersect(dj, dj1)
+    lhs = intersect(_block(rel, j), dj1)
 
-    upper = restrict(s, (j + 1, j + 2))
-    lower = restrict(t, (j, j + 1))
-    a = _ideal_complex(upper, j + 2)
-    g = _ideal_complex(lower, j + 2)
-    tails = Complex.void() if a.is_void else complement(a, g)
-    vertex = Complex(frozenset({(j + 1,)}))
-    rhs_join = Complex.void() if tails.is_void else join(tails, vertex)
+    rhs_join = Complex.from_facets((j + 1,) + h for h in _common_tails(s, t, j, 1, j + 2))
 
-    parts = []
-    for l in range(1, s.k + 1):
-        gam = block_Gamma(s, t, j, l)
-        if gam.is_void:
-            continue
-        segment = Complex(frozenset({tuple(range(j + 1, j + 2 * l))}))
-        parts.append(join(gam, segment))
-    rhs_union = _union(parts)
+    rhs_union = Complex.from_facets(
+        tuple(range(j + 1, j + 2 * l)) + h
+        for l in range(1, s.k + 1)
+        for h in _common_tails(s, t, j, l, j + 2 * l + 1))
 
     return lhs == rhs_join and lhs == rhs_union
 

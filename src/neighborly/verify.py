@@ -24,7 +24,8 @@ from .faces import (
     ridge_facets,
     z2_reduced_betti,
 )
-from .posets import Antichain, antichain_lt, order_ideal, shift_down
+from .posets import Antichain
+from .squeezed import relative_ball_general
 
 ShellingOrder = tuple[Face, ...]
 
@@ -101,13 +102,13 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
 
 
 def _step_ok(new: Face, earlier: list[Face]) -> bool:
-    """Shelling step: the part of `new` meeting earlier facets is pure of codim 1."""
-    want = len(new) - 1
+    """Shelling step: the part of `new` meeting earlier facets is pure of codim 1,
+    i.e. every meet lies in a codimension-1 meet: every gap `new - f` holds
+    the missing vertex of some one-vertex gap."""
     snew = set(new)
-    meets = {tuple(sorted(snew & set(f))) for f in earlier}
-    best = [m for m in meets
-            if not any(m is not o and set(m) < set(o) for o in meets)]
-    return all(len(m) == want for m in best)
+    gaps = [snew - set(f) for f in earlier]
+    ridge_vertices = {v for gap in gaps if len(gap) == 1 for v in gap}
+    return all(gap & ridge_vertices for gap in gaps)
 
 
 def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
@@ -184,16 +185,11 @@ def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
         raise ValueError(f"closed-form shelling applies to two pairs, got k={pf.k}")
     if not pf.elements:
         raise ValueError("antichain must be non-empty")
-    if not antichain_lt(pt, pf):
-        raise ValueError("subtracted antichain must lie strictly below")
-    rel = order_ideal(pf) - order_ideal(pt)
-    if not rel:
+    rel = relative_ball_general(pf, pt)
+    if rel.is_void:
         raise ValueError("relative ball has no facets")
-    order: list[Face] = []
-    for j in sorted({x[0] for x in rel}):
-        group = sorted((x for x in rel if x[0] == j), key=lambda x: -x[2])
-        order.extend(group)
-    cert = is_shelling(Complex(frozenset(rel)), order)
+    order = sorted(rel.facets, key=lambda x: (x[0], -x[2]))
+    cert = is_shelling(rel, order)
     if cert.verdict is not True:
         raise RuntimeError(f"constructed order is not a shelling at step {cert.witness}")
     return tuple(order)

@@ -174,10 +174,13 @@ def test_complement_reunion_restores_facets():
 
 def test_intersect_matches_face_sets():
     a = Complex.from_facets([(1, 2, 3), (2, 3, 4)])
-    b = Complex.from_facets([(2, 3, 4), (4, 5)])
-    got = intersect(a, b)
-    want_faces = closure_faces(a.facets) & closure_faces(b.facets)
-    assert closure_faces(got.facets) == want_faces
+    for b in (Complex.from_facets([(2, 3, 4), (4, 5)]),
+              Complex.from_facets([(1, 2, 3), (4, 6)]),  # non-pure meet
+              Complex.from_facets([(5, 6, 7), (7, 8)])):  # vertex-disjoint
+        got = intersect(a, b)
+        want_faces = closure_faces(a.facets) & closure_faces(b.facets)
+        assert closure_faces(got.facets) == want_faces
+    assert got.is_empty  # the vertex-disjoint pair meets in the empty face
     assert intersect(a, Complex.void()).is_void
     assert intersect(a, Complex.empty()).is_empty
 

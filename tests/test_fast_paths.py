@@ -1,7 +1,8 @@
 """Fast paths against slow references: the clearing GF(2) kernel, the ridge
-map, the neighborliness lookup, and order ideals, restrictions and pair
-facets built from down-sets; and the derived-face record staying out of
-equality, hashing, repr and pickles."""
+map, the neighborliness lookup, order ideals, restrictions and pair facets
+built from down-sets, the shelling step test and intersections by pairwise
+meets; and the derived-face record staying out of equality, hashing, repr
+and pickles."""
 
 import pickle
 import random
@@ -9,11 +10,14 @@ from itertools import combinations
 
 import pytest
 
+from neighborly import verify
 from neighborly.construct import even_census
 from neighborly.faces import (
     Complex,
+    all_faces,
     boundary_complex,
     f_vector,
+    intersect,
     ridge_facets,
     z2_reduced_betti,
 )
@@ -91,6 +95,7 @@ def random_complexes(seed, count, pure):
 
 PURE = random_complexes(11, 60, pure=True)
 MIXED = random_complexes(12, 60, pure=False)
+CENSUS_BALLS = [e.ball for e in even_census(3, 9)]
 CENSUS = [c for e in even_census(3, 9) for c in (e.ball, boundary_complex(e.ball), e.sphere)]
 
 
@@ -220,3 +225,63 @@ def test_restrict_matches_ideal_scan():
                 interval = (j, j + 2 * l - 1)
                 assert outcome(restrict, s, interval) == outcome(scan_restrict, s, interval), (s, interval)
         assert outcome(restrict, s.to_grid(), (1, 2)) is ValueError
+
+
+def meets_step_ok(new, earlier):
+    """Shelling step by building every meet and keeping the maximal ones."""
+    want = len(new) - 1
+    snew = set(new)
+    meets = {tuple(sorted(snew & set(f))) for f in earlier}
+    best = [m for m in meets
+            if not any(m is not o and set(m) < set(o) for o in meets)]
+    return all(len(m) == want for m in best)
+
+
+def common_faces_intersect(a, b):
+    """Common faces of both complexes, kept when no one-vertex extension is common."""
+    if a.is_void or b.is_void:
+        return Complex.void()
+    common = all_faces(a, a.dimension) & all_faces(b, b.dimension)
+    verts = {v for f in common for v in f}
+    keep = [f for f in common
+            if not any(v not in f and tuple(sorted(f + (v,))) in common for v in verts)]
+    return Complex(frozenset(keep))
+
+
+def test_step_ok_matches_maximal_meets():
+    rng = random.Random(14)
+    verdicts = set()
+    for _ in range(20_000):
+        d = rng.randint(1, 5)
+        n = rng.randint(d + 1, d + 4)
+        new = tuple(sorted(rng.sample(range(1, n + 1), d)))
+        earlier = []
+        for _ in range(rng.randint(0, 8)):
+            # swap a few vertices of the new facet, sometimes none or all
+            keep = rng.sample(new, d - rng.randint(0, d))
+            rest = rng.sample([v for v in range(1, n + 1) if v not in keep], d - len(keep))
+            earlier.append(tuple(sorted(keep + rest)))
+        want = meets_step_ok(new, earlier)
+        assert verify._step_ok(new, earlier) == want, (new, earlier)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_intersect_matches_common_faces():
+    rng = random.Random(15)
+    pool = PURE + MIXED + [Complex.void(), Complex.empty()]
+    for _ in range(2_000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.2 and not b.is_void:
+            # move b onto vertices a cannot have
+            b = Complex(frozenset(tuple(v + 8 for v in f) for f in b.maximal_faces))
+        assert intersect(a, b) == common_faces_intersect(a, b), (a.maximal_faces, b.maximal_faces)
+
+
+def test_find_shelling_same_with_maximal_meet_step(monkeypatch):
+    cases = [(c, budget) for c in CENSUS_BALLS + PURE for budget in (10, 1_000_000)]
+    fast = [find_shelling(c, budget) for c, budget in cases]
+    monkeypatch.setattr(verify, "_step_ok", meets_step_ok)
+    slow = [find_shelling(c, budget) for c, budget in cases]
+    assert fast == slow
+    assert {c.verdict for c in fast} == {True, False, None}
