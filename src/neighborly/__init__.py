@@ -1,6 +1,14 @@
 """Squeezed balls, sewn spheres, and checkable certificates."""
 
-from .construct import CensusEntry, census_counts, collect_census, even_census, odd_census, sew
+from .construct import (
+    CensusEntry,
+    census,
+    census_counts,
+    collect_census,
+    even_census,
+    odd_census,
+    sew,
+)
 from .cyclic import cyclic_boundary, gale_even
 from .faces import (
     Complex,

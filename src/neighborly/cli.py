@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .construct import census_counts, collect_census
+from .construct import census, census_counts
 from .cyclic import cyclic_boundary
 from .faces import format_complex, parse_complex
 from .posets import (
@@ -173,15 +173,9 @@ def _cmd_shelling(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    entries = collect_census(args.parity, args.k, args.n, jobs=args.jobs)
-    manifest = {
-        "parity": args.parity,
-        "k": args.k,
-        "n": args.n,
-        "count": len(entries),
-        "entries": [],
-    }
-    for idx, e in enumerate(entries):
+    out_dir = None if args.out is None else Path(args.out)
+    records = []
+    for idx, e in enumerate(census(args.parity, args.k, args.n, args.jobs)):
         record = {
             "index": idx,
             "antichain": format_antichain(e.antichain),
@@ -190,19 +184,25 @@ def _cmd_census(args: argparse.Namespace) -> int:
             "certificates": [
                 {"property": c.property, "verdict": c.verdict} for c in e.certificates],
         }
-        if args.out is not None:
-            name = f"sphere_{idx:04d}.txt"
-            record["file"] = name
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / name).write_text(format_complex(e.sphere), encoding="utf-8")
-        manifest["entries"].append(record)
+        if out_dir is not None:
+            if idx == 0:
+                # an older manifest would name files this run overwrites
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / "manifest.json").unlink(missing_ok=True)
+            record["file"] = f"sphere_{idx:04d}.txt"
+            (out_dir / record["file"]).write_text(format_complex(e.sphere), encoding="utf-8")
+        records.append(record)
+    manifest = {"parity": args.parity, "k": args.k, "n": args.n,
+                "count": len(records), "entries": records}
     text = json.dumps(manifest, indent=2) + "\n"
-    if args.out is not None:
-        (Path(args.out) / "manifest.json").write_text(text, encoding="utf-8")
-        print(f"wrote {len(entries)} spheres to {args.out}")
-    else:
+    if out_dir is None:
         sys.stdout.write(text)
+        return 0
+    # written aside and renamed, so a manifest is either whole or absent
+    tmp = out_dir / "manifest.json.tmp"
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(out_dir / "manifest.json")
+    print(f"wrote {len(records)} spheres to {args.out}")
     return 0
 
 

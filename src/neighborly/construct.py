@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 from .cyclic import cyclic_boundary
@@ -109,40 +110,36 @@ def _family(k: int, n: int) -> Iterator[Antichain]:
     return enumerate_antichains(k, n, must_contain=max_slope_element(k, n))
 
 
-def even_census(k: int, n: int) -> Iterator[CensusEntry]:
-    """Certified (2k-1)-spheres on [n+1] sewn from relative balls, k-neighborly."""
-    _check_census("even", k, n)
-    for a in _family(k, n):
-        yield _even_entry(k, n, a)
+def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
+    """Certified entries of the even or odd census, in family order.
 
-
-def odd_census(k: int, n: int) -> Iterator[CensusEntry]:
-    """Certified (2k-2)-spheres on [n]: boundaries of the squeezed balls."""
-    _check_census("odd", k, n)
-    for a in _family(k, n):
-        yield _odd_entry(k, n, a)
-
-
-def _job(args: tuple[str, int, int, tuple]) -> CensusEntry:
-    parity, k, n, elements = args
-    a = Antichain(k, n, elements, grid=True)
-    return _even_entry(k, n, a) if parity == "even" else _odd_entry(k, n, a)
-
-
-def collect_census(parity: str, k: int, n: int, jobs: int = 1) -> list[CensusEntry]:
-    """Materialize a census, optionally fanning entries out over processes.
-
-    Entry order matches the serial generators regardless of the job count.
+    With jobs > 1 the entries are built in a pool of that many processes;
+    they come back in the same order as with one.
     """
     _check_census(parity, k, n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    entry = partial(_even_entry if parity == "even" else _odd_entry, k, n)
     if jobs == 1:
-        gen = even_census(k, n) if parity == "even" else odd_census(k, n)
-        return list(gen)
-    tasks = [(parity, k, n, a.elements) for a in _family(k, n)]
+        yield from map(entry, _family(k, n))
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_job, tasks))
+        yield from pool.map(entry, _family(k, n))
+
+
+def even_census(k: int, n: int) -> Iterator[CensusEntry]:
+    """Certified (2k-1)-spheres on [n+1] sewn from relative balls, k-neighborly."""
+    return census("even", k, n)
+
+
+def odd_census(k: int, n: int) -> Iterator[CensusEntry]:
+    """Certified (2k-2)-spheres on [n]: boundaries of the squeezed balls."""
+    return census("odd", k, n)
+
+
+def collect_census(parity: str, k: int, n: int, jobs: int = 1) -> list[CensusEntry]:
+    """The whole census as a list, built by `jobs` processes."""
+    return list(census(parity, k, n, jobs))
 
 
 def census_counts(k: int, n_range: Sequence[int]) -> list[tuple[int, int, int, bool]]:

@@ -2,10 +2,10 @@
 
 A d-subset of [n] spans a facet of the cyclic d-polytope on n vertices iff
 any two elements outside it have an even number of elements of the subset
-strictly between them.  For even d the facets decompose canonically into a
+strictly between them.  So every facet decomposes canonically into a
 (possibly absent) odd-length run at 1, interior runs of even length, and a
-(possibly absent) odd-length run at n, which gives a direct enumeration;
-for odd d the condition is checked subset by subset.
+(possibly absent) odd-length run at n, which gives a direct enumeration
+for either parity of d.  gale_even tests a single subset.
 """
 
 from __future__ import annotations
@@ -37,18 +37,20 @@ def gale_even(f: Iterable[int], d: int, n: int) -> bool:
     return True
 
 
-def _even_facets(k: int, n: int) -> Iterator[Face]:
-    """Facets of the cyclic 2k-polytope on [n], by run structure."""
-    yield from pair_facets(k, 1, n)
-    # odd run [1, a], interior pairs, odd run [n-b+1, n]; a or b may cover
-    # the whole facet, and either end run may be absent (length 0 handled
-    # by the pairs-only case above)
-    for a in range(1, 2 * k + 1, 2):
-        for b in range(1, 2 * k - a + 1, 2):
-            rest = (2 * k - a - b) // 2
+def _facets(d: int, n: int) -> Iterator[Face]:
+    """Facets of the cyclic d-polytope on [n], by run structure.
+
+    A facet is a head run [1, a] and a tail run [n-b+1, n], each of odd
+    length or absent, with the rest of its d labels in pairs that touch
+    neither run.
+    """
+    for a in (0, *range(1, d + 1, 2)):
+        for b in (0, *range(1, d - a + 1, 2)):
+            if (d - a - b) % 2:
+                continue
             head = tuple(range(1, a + 1))
             tail = tuple(range(n - b + 1, n + 1))
-            for mid in pair_facets(rest, a + 2, n - b - 1):
+            for mid in pair_facets((d - a - b) // 2, a + 2 if a else 1, n - b - 1 if b else n):
                 yield head + mid + tail
 
 
@@ -59,9 +61,4 @@ def cyclic_boundary(d: int, n: int) -> Complex:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if n <= d:
         raise ValueError(f"need more vertices than the dimension: n={n}, d={d}")
-    if d % 2 == 0:
-        facets = frozenset(_even_facets(d // 2, n))
-    else:
-        facets = frozenset(
-            f for f in combinations(range(1, n + 1), d) if gale_even(f, d, n))
-    return Complex(facets)
+    return Complex(frozenset(_facets(d, n)))

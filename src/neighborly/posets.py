@@ -167,8 +167,7 @@ def shift_down(s: Antichain) -> Antichain:
 
 def order_ideal(s: Antichain) -> frozenset[tuple[int, ...]]:
     """Downward closure of s in its ambient poset: the union of its elements' down-sets."""
-    width = 1 if s.grid else 2
-    return frozenset(x for e in s for x in _down_set(e, width))
+    return ideal_with_min(s, 1)
 
 
 def ideal_with_min(s: Antichain, m: int) -> frozenset[tuple[int, ...]]:
@@ -178,7 +177,8 @@ def ideal_with_min(s: Antichain, m: int) -> frozenset[tuple[int, ...]]:
     """
     if m < 1:
         raise ValueError(f"minimum label must be at least 1, got {m}")
-    return frozenset(x for x in order_ideal(s) if not x or x[0] >= m)
+    width = 1 if s.grid else 2
+    return frozenset(x for e in s for x in _down_set(e, width, m))
 
 
 def maximal_elements(xs: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,7 @@ statements are checkable here rather than assumed.
 
 from __future__ import annotations
 
-from .faces import Complex, Face, complement, intersect, join
+from .faces import Complex, Face, intersect
 from .posets import (
     Antichain,
     antichain_lt,
@@ -28,23 +28,24 @@ def _complex(facets: frozenset[Face]) -> Complex:
     return Complex(facets) if facets else Complex.void()
 
 
-def _ideal_complex(s: Antichain, m: int = 1) -> Complex:
-    """Complex on the min-filtered order ideal of s; void when the ideal is empty."""
-    return _complex(ideal_with_min(s, m))
+def _ideal(s: Antichain, m: int) -> frozenset[Face]:
+    """Pair facets below some element of s with labels >= m."""
+    if s.grid:
+        raise ValueError("squeezed balls are built from pair-facet antichains")
+    return ideal_with_min(s, m)
 
 
 def squeezed_ball(s: Antichain, m: int = 1) -> Complex:
     """Ball B(S, m): pair facets below some element of S with labels >= m."""
-    if s.grid:
-        raise ValueError("squeezed balls are built from pair-facet antichains")
-    if not s.elements:
+    # a grid antichain, empty or not, gets _ideal's refusal
+    if not s.elements and not s.grid:
         raise ValueError("antichain must be non-empty")
-    return _ideal_complex(s, m)
+    return _complex(_ideal(s, m))
 
 
 def relative_ball(s: Antichain) -> Complex:
     """Facets of the ball of S that are not in the ball of S shifted down."""
-    return complement(squeezed_ball(s), _ideal_complex(shift_down(s)))
+    return _complex(squeezed_ball(s).maximal_faces - order_ideal(shift_down(s)))
 
 
 def _require_below(s: Antichain, t: Antichain) -> None:
@@ -55,10 +56,10 @@ def _require_below(s: Antichain, t: Antichain) -> None:
 def relative_ball_general(s: Antichain, t: Antichain, i: int = 1) -> Complex:
     """Facets of B(S, i) not in B(T, i), for T strictly below S."""
     _require_below(s, t)
-    b = _ideal_complex(s, i)
-    if b.is_void:
+    ball = _ideal(s, i)
+    if not ball:
         raise ValueError(f"ball of {s.elements} with minimum label {i} is void")
-    return complement(b, _ideal_complex(t, i))
+    return _complex(ball - ideal_with_min(t, i))
 
 
 def _relative_ideal(s: Antichain, t: Antichain) -> frozenset[Face]:
@@ -66,7 +67,7 @@ def _relative_ideal(s: Antichain, t: Antichain) -> frozenset[Face]:
     _require_below(s, t)
     if s.k < 1:
         raise ValueError("blocks need at least one pair")
-    return order_ideal(s) - order_ideal(t)
+    return _ideal(s, 1) - order_ideal(t)
 
 
 def _block(rel: frozenset[Face], j: int) -> Complex:
@@ -111,19 +112,10 @@ def verify_decomposition(s: Antichain, i: int = 1) -> bool:
     """
     if not s.elements:
         raise ValueError("antichain must be non-empty")
-    if i < 1:
-        raise ValueError(f"minimum label must be at least 1, got {i}")
-    direct = set(ideal_with_min(s, i))
-    pieced: set[Face] = set()
-    for j in range(i, s.n):
-        tails = restrict(s, (j, j + 1))
-        if not tails.elements:
-            continue
-        piece = _ideal_complex(tails, j + 2)
-        if piece.is_void:
-            continue
-        edge = Complex(frozenset({(j, j + 1)}))
-        pieced.update(join(piece, edge).facets)
+    direct = ideal_with_min(s, i)
+    pieced = {(j, j + 1) + h
+              for j in range(i, s.n)
+              for h in ideal_with_min(restrict(s, (j, j + 1)), j + 2)}
     return direct == pieced
 
 
@@ -141,12 +133,13 @@ def verify_intersection_formula(s: Antichain, t: Antichain, j: int) -> bool:
         raise ValueError("hypothesis of lemma violated")
     lhs = intersect(_block(rel, j), dj1)
 
-    rhs_join = Complex.from_facets((j + 1,) + h for h in _common_tails(s, t, j, 1, j + 2))
+    # every face on the right has 2k-1 labels, so each one is maximal
+    rhs_join = _complex(frozenset((j + 1,) + h for h in _common_tails(s, t, j, 1, j + 2)))
 
-    rhs_union = Complex.from_facets(
+    rhs_union = _complex(frozenset(
         tuple(range(j + 1, j + 2 * l)) + h
         for l in range(1, s.k + 1)
-        for h in _common_tails(s, t, j, l, j + 2 * l + 1))
+        for h in _common_tails(s, t, j, l, j + 2 * l + 1)))
 
     return lhs == rhs_join and lhs == rhs_union
 

@@ -2,10 +2,12 @@
 
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from neighborly import construct
 from neighborly.cli import run
 from neighborly.faces import format_complex, parse_complex
 from neighborly.posets import Antichain
@@ -199,13 +201,35 @@ def test_census_writes_files_and_manifest(tmp_path, capsys):
 
 
 def test_census_manifest_is_reproducible(tmp_path, capsys):
-    for d in ("a", "b"):
+    for d, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
         assert run(["census", "--parity", "odd", "--k", "2", "--n", "7",
-                    "--out", str(tmp_path / d)]) == 0
+                    "--out", str(tmp_path / d), "--jobs", jobs]) == 0
         capsys.readouterr()
     first = (tmp_path / "a" / "manifest.json").read_bytes()
     second = (tmp_path / "b" / "manifest.json").read_bytes()
     assert first == second
+    files = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    pooled = {p.name: p.read_bytes() for p in (tmp_path / "c").iterdir()}
+    assert pooled == files
+
+
+def test_census_failing_mid_run_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text("{}\n", encoding="utf-8")
+    real = construct.is_r_stacked
+    calls = []
+
+    def fails_on_third_entry(c, r):
+        calls.append(c)
+        cert = real(c, r)
+        return replace(cert, verdict=False) if len(calls) == 3 else cert
+
+    monkeypatch.setattr(construct, "is_r_stacked", fails_on_third_entry)
+    code = run(["census", "--parity", "odd", "--k", "2", "--n", "8", "--out", str(out_dir)])
+    assert code == 1
+    assert "verification failure" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["sphere_0000.txt", "sphere_0001.txt"]
 
 
 def test_census_stdout_mode(capsys):

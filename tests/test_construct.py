@@ -1,11 +1,13 @@
-"""Sewing and the two census generators."""
+"""Sewing and the census stream."""
 
 from itertools import combinations
 
 import pytest
 
+from neighborly import construct
 from neighborly.construct import (
     CensusEntry,
+    census,
     census_counts,
     collect_census,
     even_census,
@@ -118,9 +120,21 @@ def test_odd_census_k3():
 
 def test_census_spheres_are_pairwise_distinct():
     for parity, k, n in (("even", 2, 8), ("odd", 2, 9), ("odd", 3, 9)):
-        gen = even_census(k, n) if parity == "even" else odd_census(k, n)
-        spheres = [e.sphere.maximal_faces for e in gen]
+        spheres = [e.sphere.maximal_faces for e in census(parity, k, n)]
         assert len(set(spheres)) == len(spheres)
+
+
+def test_census_builds_entries_on_demand(monkeypatch):
+    real = construct.relative_ball
+    built = []
+
+    def counted(s):
+        built.append(s)
+        return real(s)
+
+    monkeypatch.setattr(construct, "relative_ball", counted)
+    first = next(census("odd", 3, 9))
+    assert built == [first.antichain]
 
 
 def test_census_parameter_guards():

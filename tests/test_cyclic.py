@@ -42,7 +42,8 @@ def test_pentagon():
 
 
 def test_boundary_equals_brute_filter():
-    for d, n in ((2, 6), (3, 6), (4, 5), (4, 7), (5, 8), (6, 7), (6, 9), (8, 12)):
+    for d, n in ((2, 6), (3, 6), (4, 5), (4, 7), (5, 8), (6, 7), (6, 9), (7, 12), (8, 12),
+                 (9, 13)):
         want = frozenset(
             f for f in combinations(range(1, n + 1), d) if gale_even(f, d, n))
         assert cyclic_boundary(d, n).maximal_faces == want

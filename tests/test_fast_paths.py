@@ -1,8 +1,8 @@
 """Fast paths against slow references: the clearing GF(2) kernel, the ridge
-map, the neighborliness lookup, order ideals, restrictions and pair facets
-built from down-sets, the shelling step test and intersections by pairwise
-meets; and the derived-face record staying out of equality, hashing, repr
-and pickles."""
+map, the neighborliness lookup, order ideals (whole or from a minimum
+label), restrictions and pair facets built from down-sets, the shelling
+step test and intersections by pairwise meets; and the derived-face record
+staying out of equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -24,6 +24,7 @@ from neighborly.faces import (
 from neighborly.posets import (
     Antichain,
     componentwise_leq,
+    ideal_with_min,
     maximal_elements,
     order_ideal,
     pair_facets,
@@ -216,6 +217,15 @@ def test_order_ideal_matches_poset_scan():
     for s in ANTICHAINS:
         for a in (s, s.to_grid()):
             assert order_ideal(a) == scan_order_ideal(a), a
+
+
+def test_ideal_with_min_matches_filtered_scan():
+    for s in ANTICHAINS:
+        for a in (s, s.to_grid()):
+            ideal = scan_order_ideal(a)
+            for m in range(1, s.n + 3):
+                want = frozenset(x for x in ideal if not x or x[0] >= m)
+                assert ideal_with_min(a, m) == want, (a, m)
 
 
 def test_restrict_matches_ideal_scan():

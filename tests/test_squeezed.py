@@ -105,6 +105,12 @@ def test_relative_ball_general_guards():
         relative_ball_general(tall, Antichain(2, 8, ()), 2)
 
 
+def test_grid_antichains_are_refused():
+    for build in (lambda s, t: relative_ball_general(s, t, 1), lambda s, t: block_D(s, t, 1)):
+        with pytest.raises(ValueError, match="pair-facet antichains"):
+            build(S28.to_grid(), T28.to_grid())
+
+
 def test_blocks_by_leading_pair():
     assert block_D(S28, T28, 1).maximal_faces == frozenset(
         {(1, 2, 6, 7), (1, 2, 7, 8)})
