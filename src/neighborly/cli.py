@@ -174,8 +174,13 @@ def _cmd_shelling(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     out_dir = None if args.out is None else Path(args.out)
+    entries = census(args.parity, args.k, args.n, args.jobs)  # checks the arguments
+    if out_dir is not None:
+        # an older manifest would name files this run overwrites or deletes
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.json").unlink(missing_ok=True)
     records = []
-    for idx, e in enumerate(census(args.parity, args.k, args.n, args.jobs)):
+    for idx, e in enumerate(entries):
         record = {
             "index": idx,
             "antichain": format_antichain(e.antichain),
@@ -185,10 +190,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 {"property": c.property, "verdict": c.verdict} for c in e.certificates],
         }
         if out_dir is not None:
-            if idx == 0:
-                # an older manifest would name files this run overwrites
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / "manifest.json").unlink(missing_ok=True)
             record["file"] = f"sphere_{idx:04d}.txt"
             (out_dir / record["file"]).write_text(format_complex(e.sphere), encoding="utf-8")
         records.append(record)
@@ -198,6 +199,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if out_dir is None:
         sys.stdout.write(text)
         return 0
+    # facet files of an earlier, larger run are not this manifest's
+    written = {r["file"] for r in records}
+    for stale in out_dir.glob("sphere_*.txt"):
+        if stale.name not in written:
+            stale.unlink()
     # written aside and renamed, so a manifest is either whole or absent
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_text(text, encoding="utf-8")

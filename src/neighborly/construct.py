@@ -13,7 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
 from .faces import Complex, boundary_complex, join
@@ -56,7 +56,8 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     if new_vertex in delta.vertices:
         raise ValueError(f"vertex {new_vertex} already present")
     cone = join(boundary_complex(b), Complex(frozenset({(new_vertex,)})))
-    result = Complex((delta.maximal_faces - b.maximal_faces) | cone.maximal_faces)
+    # one facet size, canonical tuples: no need to check them again
+    result = Complex._trusted((delta.maximal_faces - b.maximal_faces) | cone.maximal_faces)
     post = sphere_sanity(result)
     if post.verdict is not True:
         raise RuntimeError(f"sewing produced a non-sphere: {post.witness}")
@@ -68,7 +69,8 @@ def _certified(s: Antichain, ball: Complex, sphere: Complex,
     if not all(c.verdict is True for c in certs):
         bad = [c.property for c in certs if c.verdict is not True]
         raise RuntimeError(f"certificates {bad} failed for antichain {s.elements}")
-    return CensusEntry(s, Complex(ball.maximal_faces), Complex(sphere.maximal_faces), certs)
+    return CensusEntry(s, Complex._trusted(ball.maximal_faces),
+                       Complex._trusted(sphere.maximal_faces), certs)
 
 
 def _even_entry(k: int, n: int, a: Antichain) -> CensusEntry:
@@ -113,6 +115,7 @@ def _family(k: int, n: int) -> Iterator[Antichain]:
 def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     """Certified entries of the even or odd census, in family order.
 
+    The parameters are checked on the call, before any entry is built.
     With jobs > 1 the entries are built in a pool of that many processes;
     they come back in the same order as with one.
     """
@@ -120,11 +123,16 @@ def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     entry = partial(_even_entry if parity == "even" else _odd_entry, k, n)
+    return _stream(entry, _family(k, n), jobs)
+
+
+def _stream(entry: Callable[[Antichain], CensusEntry], family: Iterator[Antichain],
+            jobs: int) -> Iterator[CensusEntry]:
     if jobs == 1:
-        yield from map(entry, _family(k, n))
+        yield from map(entry, family)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(entry, _family(k, n))
+        yield from pool.map(entry, family)
 
 
 def even_census(k: int, n: int) -> Iterator[CensusEntry]:

@@ -7,10 +7,18 @@ face is the *empty complex*.  The two are distinct values and every
 operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
 
-What is derived from a complex's facets (its faces by size, the ridge
-incidence, the boundary and the Betti numbers) is computed at most once per
-complex and kept in a private record attached to it.  The record is a cache:
-it takes no part in equality, hashing, repr or pickling.
+What is derived from a complex's facets (the facets in sorted order, its
+faces by size, the ridge incidence, the boundary, the Betti numbers, and the
+sphere and ball sanity certificates of `verify`) is computed at most once per
+complex and kept in a private record attached to it.  Each face level holds
+its faces in order of first appearance over the sorted facets, and the
+homology reads them in that order.  The record is a cache: it takes no part
+in equality, hashing, repr or pickling.
+
+`Complex(...)`, `Complex.from_facets` and `parse_complex` check their input.
+Facet sets that are canonical and pairwise incomparable by construction (one
+facet size, built from canonical tuples) go through the private unchecked
+constructor `Complex._trusted` instead, and so do unpickled complexes.
 """
 
 from __future__ import annotations
@@ -18,10 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Iterable, KeysView, Mapping
 
 Face = tuple[int, ...]
 FVector = tuple[int, ...]
@@ -42,13 +50,17 @@ def face(vertices: Iterable[int]) -> Face:
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
-    __slots__ = ("faces", "ridges", "boundary", "betti")
+    __slots__ = ("facets", "faces", "ridges", "boundary", "betti", "sphere", "ball")
 
     def __init__(self) -> None:
-        self.faces: dict[int, frozenset[Face]] = {}  # size -> faces of that size
+        self.facets: tuple[Face, ...] | None = None  # sorted
+        # size -> faces of that size, in order of first appearance
+        self.faces: dict[int, dict[Face, None]] = {}
         self.ridges: dict[Face, tuple[Face, ...]] | None = None
         self.boundary: Complex | None = None
         self.betti: tuple[int, ...] | None = None
+        self.sphere: Any = None  # the verify.sphere_sanity certificate
+        self.ball: Any = None  # the verify.ball_sanity certificate
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,14 @@ class Complex:
                 for sf in by_len[small]:
                     if any(sf <= bf for bf in by_len[big]):
                         raise ValueError("maximal faces must not contain one another")
+
+    @classmethod
+    def _trusted(cls, facets: frozenset[Face] | None) -> "Complex":
+        """Complex on facets that are canonical and pairwise incomparable by
+        construction, taken without the checks of `__post_init__`."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "maximal_faces", facets)
+        return c
 
     @staticmethod
     def void() -> "Complex":
@@ -121,7 +141,10 @@ class Complex:
     def facets(self) -> tuple[Face, ...]:
         if self.maximal_faces is None:
             raise ValueError("void complex has no facets")
-        return tuple(sorted(self.maximal_faces))
+        record = self._derived
+        if record.facets is None:
+            record.facets = tuple(sorted(self.maximal_faces))
+        return record.facets
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -143,27 +166,31 @@ class Complex:
         return f"Complex({len(self.maximal_faces)} facets, dim {self.dimension})"
 
     def __reduce__(self):
-        # pickles carry the facets only, never the derived record
-        return (Complex, (self.maximal_faces,))
+        # pickles carry the facets only, never the derived record; the facets
+        # of an existing complex are canonical already, so they are not
+        # checked again on unpickling
+        return (Complex._trusted, (self.maximal_faces,))
 
     @cached_property
     def _derived(self) -> _Derived:
         return _Derived()
 
 
-def faces_of_size(c: Complex, size: int) -> frozenset[Face]:
-    """Every face with exactly `size` vertices; empty above the top dimension."""
+def faces_of_size(c: Complex, size: int) -> KeysView[Face]:
+    """Every face with exactly `size` vertices; empty above the top dimension.
+
+    A read-only set view, in order of first appearance over the sorted facets.
+    """
     if c.is_void:
         raise ValueError("void has no faces")
     if size < 0:
         raise ValueError(f"face size must be >= 0, got {size}")
-    known = c._derived.faces
-    if size not in known:
-        out: set[Face] = set()
-        for m in c.maximal_faces:
-            out.update(combinations(m, size))
-        known[size] = frozenset(out)
-    return known[size]
+    levels = c._derived.faces
+    level = levels.get(size)
+    if level is None:
+        level = levels[size] = dict.fromkeys(
+            chain.from_iterable(map(combinations, c.facets, repeat(size))))
+    return level.keys()
 
 
 def all_faces(c: Complex, k: int) -> frozenset[Face]:
@@ -308,8 +335,8 @@ def boundary_complex(b: Complex) -> Complex:
         for r, ms in incidence.items():
             if len(ms) > 2:
                 raise ValueError("not a pseudomanifold")
-        bd = [r for r, ms in incidence.items() if len(ms) == 1]
-        record.boundary = Complex(frozenset(bd)) if bd else Complex.empty()
+        bd = frozenset(r for r, ms in incidence.items() if len(ms) == 1)
+        record.boundary = Complex._trusted(bd) if bd else Complex.empty()
     return record.boundary
 
 
@@ -344,13 +371,14 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     if record.betti is not None:
         return record.betti
     dim = c.dimension
-    # any fixed order is correct; sorted order keeps the reductions short
-    by_size = [sorted(faces_of_size(c, size)) for size in range(dim + 2)]
+    # any fixed order is correct; first-seen order keeps the reductions short
+    by_size = [faces_of_size(c, size) for size in range(dim + 2)]
     # ranks[s] = rank of the boundary map from faces of size s to size s-1
     ranks = [0] * (dim + 3)
     cleared: set[int] = set()  # indices into by_size[s] of columns to skip
     for s in range(dim + 1, 0, -1):
-        bit = {f: 1 << i for i, f in enumerate(by_size[s - 1])}.__getitem__
+        rows = by_size[s - 1]
+        bit = dict(zip(rows, map((1).__lshift__, range(len(rows))))).__getitem__
         # the subfaces are distinct, so their sum is the column's bitmask
         columns = (sum(map(bit, combinations(f, s - 1)))
                    for j, f in enumerate(by_size[s]) if j not in cleared)

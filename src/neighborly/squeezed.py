@@ -25,7 +25,7 @@ from .posets import (
 
 def _complex(facets: frozenset[Face]) -> Complex:
     """Complex on a set of pair facets of one size; void when the set is empty."""
-    return Complex(facets) if facets else Complex.void()
+    return Complex._trusted(facets) if facets else Complex.void()
 
 
 def _ideal(s: Antichain, m: int) -> frozenset[Face]:

@@ -218,12 +218,23 @@ def _connected(c: Complex) -> bool:
 
 def sphere_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a sphere: closed pseudomanifold, connected,
-    and the mod-2 homology of a sphere of its dimension."""
-    name = "sphere-homology"
+    and the mod-2 homology of a sphere of its dimension.
+
+    The certificate is kept in the complex's derived record, so a repeat
+    check of the same complex is a lookup.
+    """
     if c.is_void:
         raise ValueError("void complex")
     if not c.is_pure:
         raise ValueError("sanity checks require a pure complex")
+    record = c._derived
+    if record.sphere is None:
+        record.sphere = _sphere_certificate(c)
+    return record.sphere
+
+
+def _sphere_certificate(c: Complex) -> Certificate:
+    name = "sphere-homology"
     if c.is_empty:
         return Certificate(name, True)  # boundary of a point
     for r, ms in ridge_facets(c).items():
@@ -241,12 +252,23 @@ def sphere_sanity(c: Complex) -> Certificate:
 
 def ball_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a ball: pseudomanifold with non-empty boundary,
-    connected, trivial mod-2 homology, and a boundary passing sphere_sanity."""
-    name = "ball-homology"
+    connected, trivial mod-2 homology, and a boundary passing sphere_sanity.
+
+    The certificate is kept in the complex's derived record, as for
+    sphere_sanity.
+    """
     if c.is_void:
         raise ValueError("void complex")
     if not c.is_pure:
         raise ValueError("sanity checks require a pure complex")
+    record = c._derived
+    if record.ball is None:
+        record.ball = _ball_certificate(c)
+    return record.ball
+
+
+def _ball_certificate(c: Complex) -> Certificate:
+    name = "ball-homology"
     if c.is_empty:
         return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
     boundary_seen = False

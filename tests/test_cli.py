@@ -232,6 +232,31 @@ def test_census_failing_mid_run_leaves_no_manifest(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in out_dir.iterdir()) == ["sphere_0000.txt", "sphere_0001.txt"]
 
 
+def test_census_over_an_earlier_run_leaves_only_its_own_files(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "census"
+    odd = ["census", "--parity", "odd", "--k", "2", "--out", str(out_dir)]
+    assert run(odd + ["--n", "8"]) == 0
+    assert len(list(out_dir.glob("sphere_*.txt"))) == 8
+    assert run(odd + ["--n", "7"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["count"] == 4
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [e["file"] for e in manifest["entries"]] + ["manifest.json"])
+
+    # a usage error leaves the directory as it was
+    assert run(odd + ["--n", "3"]) == 2
+    assert (out_dir / "manifest.json").exists()
+
+    # a run that fails on its first entry leaves no manifest
+    real = construct.is_r_stacked
+    monkeypatch.setattr(construct, "is_r_stacked",
+                        lambda c, r: replace(real(c, r), verdict=False))
+    assert run(odd + ["--n", "8"]) == 1
+    assert "verification failure" in capsys.readouterr().err
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_census_stdout_mode(capsys):
     code, out = run_lines(capsys, ["census", "--parity", "even", "--k", "2", "--n", "6"])
     assert code == 0

@@ -1,8 +1,9 @@
 """Fast paths against slow references: the clearing GF(2) kernel, the ridge
 map, the neighborliness lookup, order ideals (whole or from a minimum
 label), restrictions and pair facets built from down-sets, the shelling
-step test and intersections by pairwise meets; and the derived-face record
-staying out of equality, hashing, repr and pickles."""
+step test and intersections by pairwise meets; the sanity certificates kept
+in the derived record; the unchecked constructor against the checked one;
+and the derived record staying out of equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -11,7 +12,8 @@ from itertools import combinations
 import pytest
 
 from neighborly import verify
-from neighborly.construct import even_census
+from neighborly.construct import collect_census, even_census, odd_census, sew
+from neighborly.cyclic import cyclic_boundary
 from neighborly.faces import (
     Complex,
     all_faces,
@@ -30,6 +32,7 @@ from neighborly.posets import (
     pair_facets,
     restrict,
 )
+from neighborly.squeezed import relative_ball
 from neighborly.verify import (
     ball_sanity,
     find_shelling,
@@ -94,13 +97,32 @@ def random_complexes(seed, count, pure):
     return out
 
 
+def random_non_pure(seed, count):
+    """Complexes with facets of several sizes; no facet lies in another, so
+    some faces of the smaller facets are faces of no larger one."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 9)
+        top = rng.randint(2, min(5, n))
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, top)) for _ in range(rng.randint(2, 10))]
+        facets.append(rng.sample(range(1, n + 1), top))
+        c = Complex.from_facets(facets)
+        if not c.is_pure:
+            out.append(c)
+    return out
+
+
 PURE = random_complexes(11, 60, pure=True)
 MIXED = random_complexes(12, 60, pure=False)
+NON_PURE = random_non_pure(16, 60)
 CENSUS_BALLS = [e.ball for e in even_census(3, 9)]
 CENSUS = [c for e in even_census(3, 9) for c in (e.ball, boundary_complex(e.ball), e.sphere)]
+ODD_CENSUS = [c for e in odd_census(3, 9) for c in (e.ball, e.sphere)]
 
 
-@pytest.mark.parametrize("complexes", [PURE, MIXED, CENSUS], ids=["pure", "mixed", "census"])
+@pytest.mark.parametrize("complexes", [PURE, MIXED, NON_PURE, CENSUS, ODD_CENSUS],
+                         ids=["pure", "mixed", "non-pure", "census", "odd-census"])
 def test_clearing_betti_matches_full_elimination(complexes):
     for c in complexes:
         assert z2_reduced_betti(c) == slow_z2_reduced_betti(c), c.facets
@@ -139,11 +161,70 @@ def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
             f_vector(c)
             ridge_facets(c)
             z2_reduced_betti(c)
+            # the cached checks, answered from the record the second time
+            check = ball_sanity if c is ball else sphere_sanity
+            assert check(c) is check(c)
             fresh = Complex(c.maximal_faces)
             assert c == fresh and hash(c) == hash(fresh)
             assert repr(c) == repr(fresh)
             assert len(pickle.dumps(c)) == len(pickle.dumps(fresh))
-            assert pickle.loads(pickle.dumps(c)) == c
+            copy = pickle.loads(pickle.dumps(c))
+            assert copy == c and "_derived" not in vars(copy)
+
+
+TETRA_BOUNDARY = list(combinations(range(1, 5), 3))
+# the seven-vertex torus: Z/2 Betti numbers 1, 2, 1
+TORUS = [tuple(sorted(((i + a) % 7 + 1 for a in offsets)))
+         for i in range(7) for offsets in ((0, 1, 3), (0, 2, 3))]
+# an annulus of six triangles between the triangles 1 2 3 and 4 5 6
+ANNULUS = [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
+DISJOINT = TETRA_BOUNDARY + [tuple(v + 4 for v in f) for f in TETRA_BOUNDARY]
+THREE_ON_A_RIDGE = [(1, 2, 3), (1, 2, 4), (1, 2, 5)]
+SANITY_CASES = [
+    (sphere_sanity, TETRA_BOUNDARY, True, None),
+    (sphere_sanity, DISJOINT, False, {"reason": "disconnected"}),
+    (sphere_sanity, THREE_ON_A_RIDGE, False, {"ridge": (1, 2), "facet_count": 3}),
+    (sphere_sanity, TORUS, False, {"betti": (0, 0, 2, 1)}),
+    (sphere_sanity, [(1, 2, 3)], False, {"ridge": (1, 2), "facet_count": 1}),
+    (ball_sanity, [(1, 2, 3), (2, 3, 4)], True, None),
+    (ball_sanity, TETRA_BOUNDARY, False, {"reason": "closed"}),
+    (ball_sanity, [(1, 2, 3), (4, 5, 6)], False, {"reason": "disconnected"}),
+    (ball_sanity, THREE_ON_A_RIDGE, False, {"ridge": (1, 2), "facet_count": 3}),
+    (ball_sanity, ANNULUS, False, {"betti": (0, 0, 1, 0)}),
+]
+
+
+@pytest.mark.parametrize("check, facets, verdict, witness", SANITY_CASES)
+def test_sanity_certificate_from_record_matches_a_fresh_check(check, facets, verdict, witness):
+    c = Complex(frozenset(facets))
+    first = check(c)
+    assert (first.verdict, first.witness) == (verdict, witness)
+    assert check(c) is first
+    assert check(Complex(frozenset(facets))) == first
+
+
+def trusted_complexes():
+    """Every complex the census builds without the constructor's checks."""
+    out = []
+    for parity in ("even", "odd"):
+        serial = collect_census(parity, 3, 9)
+        for e, pooled in zip(serial, collect_census(parity, 3, 9, jobs=2), strict=True):
+            ball = relative_ball(e.antichain)
+            out += [ball, boundary_complex(ball), e.ball, e.sphere, pooled.ball, pooled.sphere]
+            if parity == "even":
+                out.append(sew(cyclic_boundary(6, 9), ball, 10))
+    return out
+
+
+def test_trusted_complexes_pass_the_checked_constructor():
+    built = trusted_complexes()
+    assert len(built) == 7 * len(CENSUS_BALLS) + 6 * len(ODD_CENSUS) // 2
+    for c in built:
+        assert Complex(c.maximal_faces) == c
+    for c in (Complex.void(), Complex.empty(), built[0]):
+        assert pickle.loads(pickle.dumps(c)) == c
+    with pytest.raises(ValueError):
+        Complex(frozenset({(3, 1, 2)}))
 
 
 def loop_pair_facets(k, m, n):
