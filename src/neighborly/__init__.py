@@ -14,7 +14,6 @@ from .faces import (
     Complex,
     Face,
     all_faces,
-    antistar,
     boundary_complex,
     complement,
     f_vector,
@@ -28,10 +27,8 @@ from .faces import (
 )
 from .posets import (
     Antichain,
-    antichain_leq,
     antichain_lt,
     componentwise_leq,
-    componentwise_lt,
     enumerate_antichains,
     facet_to_grid,
     format_antichain,

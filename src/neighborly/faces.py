@@ -15,10 +15,15 @@ its faces in order of first appearance over the sorted facets, and the
 homology reads them in that order.  The record is a cache: it takes no part
 in equality, hashing, repr or pickling.
 
-`Complex(...)`, `Complex.from_facets` and `parse_complex` check their input.
-Facet sets that are canonical and pairwise incomparable by construction (one
-facet size, built from canonical tuples) go through the private unchecked
-constructor `Complex._trusted` instead, and so do unpickled complexes.
+One private rule, `_maximal`, decides which faces of a collection are
+maximal.  Input from outside the program is checked where it enters:
+`Complex(...)` rejects facets that are not increasing tuples or that contain
+one another, `Complex.from_facets` canonicalises each face and keeps the
+maximal ones, and `parse_complex` checks the facet file.  Everything built
+here from canonical parts (links, joins, complements, intersections,
+boundaries, the balls of `squeezed` and the sewn spheres of `construct`, and
+unpickled complexes) goes through the private unchecked constructor
+`Complex._trusted`.
 """
 
 from __future__ import annotations
@@ -47,6 +52,26 @@ def face(vertices: Iterable[int]) -> Face:
     return vs
 
 
+def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
+    """The faces of the collection that no larger face of it contains.
+
+    Only a larger face can contain another, so the faces are grouped by size
+    and a collection of one size makes no subset test.
+    """
+    by_size: dict[int, set[Face]] = {}
+    for f in faces:
+        by_size.setdefault(len(f), set()).add(f)
+    if len(by_size) <= 1:
+        return frozenset(*by_size.values())
+    keep: list[Face] = []
+    above: list[set[int]] = []  # vertex sets of the kept faces of larger sizes
+    for size in sorted(by_size, reverse=True):
+        level = [f for f in by_size[size] if not any(map(set(f).issubset, above))]
+        keep += level
+        above += map(set, level)
+    return frozenset(keep)
+
+
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
@@ -72,19 +97,13 @@ class Complex:
     def __post_init__(self) -> None:
         if self.maximal_faces is None:
             return
+        if not self.maximal_faces:
+            raise ValueError("a complex without facets is void: use Complex.void()")
         for f in self.maximal_faces:
             if face(f) != f:
                 raise ValueError(f"face must be an increasing tuple: {f}")
-        # containment can only happen across different facet sizes
-        by_len: dict[int, list[set[int]]] = {}
-        for f in self.maximal_faces:
-            by_len.setdefault(len(f), []).append(set(f))
-        sizes = sorted(by_len)
-        for i, small in enumerate(sizes):
-            for big in sizes[i + 1:]:
-                for sf in by_len[small]:
-                    if any(sf <= bf for bf in by_len[big]):
-                        raise ValueError("maximal faces must not contain one another")
+        if len(_maximal(self.maximal_faces)) != len(self.maximal_faces):
+            raise ValueError("maximal faces must not contain one another")
 
     @classmethod
     def _trusted(cls, facets: frozenset[Face] | None) -> "Complex":
@@ -96,26 +115,17 @@ class Complex:
 
     @staticmethod
     def void() -> "Complex":
-        return Complex(None)
+        return Complex._trusted(None)
 
     @staticmethod
     def empty() -> "Complex":
-        return Complex(frozenset({()}))
+        return Complex._trusted(frozenset({()}))
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
         """Complex generated by the given faces; an empty collection gives void."""
-        fs = {face(f) for f in facets}
-        if not fs:
-            return cls.void()
-        keep: list[Face] = []
-        kept_sets: list[set[int]] = []
-        for f in sorted(fs, key=lambda t: (-len(t), t)):
-            sf = set(f)
-            if not any(len(ks) > len(sf) and sf <= ks for ks in kept_sets):
-                keep.append(f)
-                kept_sets.append(sf)
-        return cls(frozenset(keep))
+        fs = _maximal(map(face, facets))
+        return cls._trusted(fs) if fs else cls.void()
 
     @property
     def is_void(self) -> bool:
@@ -209,29 +219,11 @@ def link(c: Complex, t: Iterable[int]) -> Complex:
     if t not in c:
         raise ValueError("not a face")
     st = set(t)
-    # maximal faces of the link are exactly M \ t over maximal M containing t
-    return Complex(frozenset(
+    # M - t over maximal M containing t: increasing, and pairwise incomparable
+    # because M - t lies in M' - t only if M lies in M'
+    return Complex._trusted(frozenset(
         tuple(v for v in m if v not in st)
         for m in c.maximal_faces if st.issubset(m)))
-
-
-def antistar(c: Complex, t: Iterable[int]) -> Complex:
-    """All faces of c not containing t, presented by maximal faces."""
-    if c.is_void:
-        raise ValueError("void has no faces")
-    t = face(t)
-    st = set(t)
-    if not st:
-        return Complex.void()  # every face contains the empty face
-    candidates: set[Face] = set()
-    for m in c.maximal_faces:
-        if st.issubset(m):
-            # maximal subsets of m avoiding t drop one element of t each
-            for v in t:
-                candidates.add(tuple(w for w in m if w != v))
-        else:
-            candidates.add(m)
-    return Complex.from_facets(candidates)
 
 
 def join(a: Complex, b: Complex) -> Complex:
@@ -241,7 +233,8 @@ def join(a: Complex, b: Complex) -> Complex:
     va, vb = set(a.vertices), set(b.vertices)
     if va & vb:
         raise ValueError(f"join requires disjoint vertex sets, shared: {sorted(va & vb)}")
-    return Complex(frozenset(
+    # on disjoint vertex sets, fa | fb lies in fa' | fb' only if fa lies in fa' and fb in fb'
+    return Complex._trusted(frozenset(
         tuple(sorted(fa + fb)) for fa in a.maximal_faces for fb in b.maximal_faces))
 
 
@@ -261,9 +254,8 @@ def complement(a: Complex, g: Complex) -> Complex:
     if not g.maximal_faces <= a.maximal_faces:
         raise ValueError("g not full-dimensional subcomplex")
     remaining = a.maximal_faces - g.maximal_faces
-    if not remaining:
-        return Complex.void()
-    return Complex(remaining)
+    # a subset of the facets of a
+    return Complex._trusted(remaining) if remaining else Complex.void()
 
 
 def intersect(a: Complex, b: Complex) -> Complex:
@@ -274,8 +266,10 @@ def intersect(a: Complex, b: Complex) -> Complex:
     """
     if a.is_void or b.is_void:
         return Complex.void()
-    return Complex.from_facets(
-        set(fa).intersection(fb) for fa in a.maximal_faces for fb in b.maximal_faces)
+    # the vertices of a sorted facet that lie in another form an increasing tuple
+    b_sets = [set(fb) for fb in b.maximal_faces]
+    return Complex._trusted(_maximal(
+        tuple(filter(sb.__contains__, fa)) for fa in a.maximal_faces for sb in b_sets))
 
 
 def f_vector(c: Complex) -> FVector:

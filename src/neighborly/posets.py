@@ -28,13 +28,6 @@ def componentwise_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def componentwise_lt(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Strict variant: every coordinate strictly smaller."""
-    if len(a) != len(b):
-        raise ValueError(f"cannot compare tuples of lengths {len(a)} and {len(b)}")
-    return all(x < y for x, y in zip(a, b))
-
-
 def _is_pair_facet(f: tuple[int, ...], k: int, n: int) -> bool:
     if len(f) != 2 * k:
         return False
@@ -96,18 +89,11 @@ class Antichain:
         return Antichain(self.k, self.n, tuple(map(grid_to_facet, self.elements)), grid=False)
 
 
-def antichain_leq(t: Antichain, s: Antichain) -> bool:
-    """Every element of t lies componentwise below some element of s."""
-    if (t.k, t.n, t.grid) != (s.k, s.n, s.grid):
-        raise ValueError("antichains live in different ambient posets")
-    return all(any(componentwise_leq(g, f) for f in s) for g in t)
-
-
 def antichain_lt(t: Antichain, s: Antichain) -> bool:
     """Every element of t lies strictly below some element of s, coordinatewise."""
     if (t.k, t.n, t.grid) != (s.k, s.n, s.grid):
         raise ValueError("antichains live in different ambient posets")
-    return all(any(componentwise_lt(g, f) for f in s) for g in t)
+    return all(any(all(x < y for x, y in zip(g, f)) for f in s) for g in t)
 
 
 def _down_set(top: tuple[int, ...], width: int, lo: int = 1) -> list[tuple[int, ...]]:

@@ -195,8 +195,13 @@ def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
     return tuple(order)
 
 
-def _connected(c: Complex) -> bool:
-    """Facet-ridge connectivity of a pure complex, by union-find over the ridge map."""
+def _ridge_walk(c: Complex) -> tuple[tuple[Face, int] | None, tuple[Face, int] | None, bool, bool]:
+    """One pass over the ridge map of a pure complex: the first ridge whose
+    facet count is not 2 and the first with 3 or more (each with its count),
+    whether some ridge lies in a single facet, and facet-ridge connectivity
+    by union-find."""
+    not_two = crowded = None
+    boundary_seen = False
     parent = {f: f for f in c.facets}
 
     def root(f: Face) -> Face:
@@ -206,14 +211,20 @@ def _connected(c: Complex) -> bool:
         return f
 
     components = len(parent)
-    for ms in ridge_facets(c).values():
+    for r, ms in ridge_facets(c).items():
+        if len(ms) != 2:
+            not_two = not_two or (r, len(ms))
+            if len(ms) == 1:
+                boundary_seen = True
+            else:
+                crowded = crowded or (r, len(ms))
         first = root(ms[0])
-        for other in ms[1:]:
-            r = root(other)
-            if r != first:
-                parent[r] = first
+        for f in ms[1:]:
+            top = root(f)
+            if top != first:
+                parent[top] = first
                 components -= 1
-    return components <= 1
+    return not_two, crowded, boundary_seen, components <= 1
 
 
 def sphere_sanity(c: Complex) -> Certificate:
@@ -237,11 +248,11 @@ def _sphere_certificate(c: Complex) -> Certificate:
     name = "sphere-homology"
     if c.is_empty:
         return Certificate(name, True)  # boundary of a point
-    for r, ms in ridge_facets(c).items():
-        if len(ms) != 2:
-            return Certificate(name, False,
-                               witness={"ridge": r, "facet_count": len(ms)})
-    if not _connected(c):
+    not_two, _, _, connected = _ridge_walk(c)
+    if not_two:
+        r, count = not_two
+        return Certificate(name, False, witness={"ridge": r, "facet_count": count})
+    if not connected:
         return Certificate(name, False, witness={"reason": "disconnected"})
     betti = z2_reduced_betti(c)
     expected = (0,) * (len(betti) - 1) + (1,)
@@ -271,15 +282,13 @@ def _ball_certificate(c: Complex) -> Certificate:
     name = "ball-homology"
     if c.is_empty:
         return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
-    boundary_seen = False
-    for r, ms in ridge_facets(c).items():
-        if len(ms) > 2:
-            return Certificate(name, False,
-                               witness={"ridge": r, "facet_count": len(ms)})
-        boundary_seen = boundary_seen or len(ms) == 1
+    _, crowded, boundary_seen, connected = _ridge_walk(c)
+    if crowded:
+        r, count = crowded
+        return Certificate(name, False, witness={"ridge": r, "facet_count": count})
     if not boundary_seen:
         return Certificate(name, False, witness={"reason": "closed"})
-    if not _connected(c):
+    if not connected:
         return Certificate(name, False, witness={"reason": "disconnected"})
     betti = z2_reduced_betti(c)
     if any(betti):

@@ -5,7 +5,6 @@ import pytest
 from neighborly.faces import (
     Complex,
     all_faces,
-    antistar,
     boundary_complex,
     complement,
     f_vector,
@@ -59,6 +58,9 @@ def test_maximal_face_containment_rejected():
         Complex(frozenset({(1, 2), (1, 2, 3)}))
     with pytest.raises(ValueError, match="increasing"):
         Complex(frozenset({(3, 1, 2)}))
+    # a complex without facets is the void complex, which has its own value
+    with pytest.raises(ValueError, match="void"):
+        Complex(frozenset())
     # from_facets absorbs dominated faces instead
     c = Complex.from_facets([(1, 2), (1, 2, 3)])
     assert c.facets == ((1, 2, 3),)
@@ -111,19 +113,6 @@ def test_link_union_consistency():
         lk = link(BALL_10, (v,))
         for m in lk.facets:
             assert tuple(sorted(m + (v,))) in BALL_10
-
-
-def test_antistar_triangle_boundary():
-    c = Complex.from_facets([(1, 2), (1, 3), (2, 3)])
-    assert antistar(c, (1,)) == Complex.from_facets([(2, 3)])
-
-
-def test_antistar_of_absent_vertex_is_identity():
-    assert antistar(TETRA, (9,)) == TETRA
-
-
-def test_antistar_of_empty_face_is_void():
-    assert antistar(TETRA, ()).is_void
 
 
 def test_join_edge_with_vertex():

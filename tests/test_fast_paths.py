@@ -1,9 +1,10 @@
 """Fast paths against slow references: the clearing GF(2) kernel, the ridge
-map, the neighborliness lookup, order ideals (whole or from a minimum
-label), restrictions and pair facets built from down-sets, the shelling
-step test and intersections by pairwise meets; the sanity certificates kept
-in the derived record; the unchecked constructor against the checked one;
-and the derived record staying out of equality, hashing, repr and pickles."""
+map, the neighborliness lookup, the sanity certificates from one ridge walk,
+the maximal-face rule, order ideals (whole or from a minimum label),
+restrictions and pair facets built from down-sets, the shelling step test
+and intersections by pairwise meets; the sanity certificates kept in the
+derived record; every unchecked result against the checked constructor; and
+the derived record staying out of equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -11,15 +12,18 @@ from itertools import combinations
 
 import pytest
 
-from neighborly import verify
+from neighborly import faces, verify
 from neighborly.construct import collect_census, even_census, odd_census, sew
 from neighborly.cyclic import cyclic_boundary
 from neighborly.faces import (
     Complex,
     all_faces,
     boundary_complex,
+    complement,
     f_vector,
     intersect,
+    join,
+    link,
     ridge_facets,
     z2_reduced_betti,
 )
@@ -34,6 +38,7 @@ from neighborly.posets import (
 )
 from neighborly.squeezed import relative_ball
 from neighborly.verify import (
+    Certificate,
     ball_sanity,
     find_shelling,
     is_i_neighborly,
@@ -203,6 +208,120 @@ def test_sanity_certificate_from_record_matches_a_fresh_check(check, facets, ver
     assert check(Complex(frozenset(facets))) == first
 
 
+def connected_by_second_walk(c):
+    """Facet-ridge connectivity by union-find, in a walk of its own."""
+    parent = {f: f for f in c.facets}
+
+    def root(f):
+        while parent[f] != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
+
+    components = len(parent)
+    for ms in ridge_facets(c).values():
+        first = root(ms[0])
+        for other in ms[1:]:
+            r = root(other)
+            if r != first:
+                parent[r] = first
+                components -= 1
+    return components <= 1
+
+
+def sphere_certificate_by_walks(c):
+    """The sphere certificate with one walk per condition and early returns."""
+    name = "sphere-homology"
+    if c.is_empty:
+        return Certificate(name, True)
+    for r, ms in ridge_facets(c).items():
+        if len(ms) != 2:
+            return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
+    if not connected_by_second_walk(c):
+        return Certificate(name, False, witness={"reason": "disconnected"})
+    betti = z2_reduced_betti(c)
+    if betti != (0,) * (len(betti) - 1) + (1,):
+        return Certificate(name, False, witness={"betti": betti})
+    return Certificate(name, True)
+
+
+def ball_certificate_by_walks(c):
+    """The ball certificate with one walk per condition and early returns."""
+    name = "ball-homology"
+    if c.is_empty:
+        return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
+    boundary_seen = False
+    for r, ms in ridge_facets(c).items():
+        if len(ms) > 2:
+            return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
+        boundary_seen = boundary_seen or len(ms) == 1
+    if not boundary_seen:
+        return Certificate(name, False, witness={"reason": "closed"})
+    if not connected_by_second_walk(c):
+        return Certificate(name, False, witness={"reason": "disconnected"})
+    betti = z2_reduced_betti(c)
+    if any(betti):
+        return Certificate(name, False, witness={"betti": betti})
+    sub = sphere_certificate_by_walks(boundary_complex(c))
+    if sub.verdict is not True:
+        return Certificate(name, False, witness={"boundary": sub.as_dict()})
+    return Certificate(name, True)
+
+
+def test_one_ridge_walk_matches_a_walk_per_condition():
+    cases = [Complex(frozenset(facets)) for _, facets, _, _ in SANITY_CASES]
+    cases += PURE + CENSUS + ODD_CENSUS + [Complex.empty()]
+    outcomes = set()
+    for c in cases:
+        for fast, slow in ((verify._sphere_certificate, sphere_certificate_by_walks),
+                           (verify._ball_certificate, ball_certificate_by_walks)):
+            want = slow(c)
+            assert fast(c) == want, (fast.__name__, c.facets)
+            w = want.witness or {}
+            outcomes.add((want.property, want.verdict, tuple(w), w.get("reason")))
+    # every verdict and every kind of witness is reached
+    assert outcomes == {
+        ("sphere-homology", True, (), None),
+        ("sphere-homology", False, ("ridge", "facet_count"), None),
+        ("sphere-homology", False, ("reason",), "disconnected"),
+        ("sphere-homology", False, ("betti",), None),
+        ("ball-homology", True, (), None),
+        ("ball-homology", False, ("reason",), "no facets of dimension >= 0"),
+        ("ball-homology", False, ("ridge", "facet_count"), None),
+        ("ball-homology", False, ("reason",), "closed"),
+        ("ball-homology", False, ("reason",), "disconnected"),
+        ("ball-homology", False, ("betti",), None),
+        ("ball-homology", False, ("boundary",), None),
+    }
+
+
+def maximal_by_scan(collection):
+    """The faces of the collection that are a proper subset of no other face."""
+    fs = set(collection)
+    return frozenset(f for f in fs if not any(set(f) < set(g) for g in fs))
+
+
+def random_face_collections(seed, count):
+    """Seeded face collections: pure, of several sizes, with repeats, with the
+    empty face, and empty."""
+    rng = random.Random(seed)
+    out = [[], [()], [(), ()], [(), (1,)], [(1, 2), (1, 2)]]
+    while len(out) < count:
+        n = rng.randint(1, 8)
+        sizes = [rng.randint(0, n)] if rng.random() < 0.3 else range(n + 1)
+        fs = [tuple(sorted(rng.sample(range(1, n + 1), rng.choice(sizes))))
+              for _ in range(rng.randint(1, 12))]
+        fs += rng.sample(fs, rng.randint(0, len(fs)))  # repeats
+        out.append(fs)
+    return out
+
+
+def test_maximal_matches_superset_scan():
+    for fs in random_face_collections(17, 400):
+        assert faces._maximal(fs) == maximal_by_scan(fs), fs
+        assert faces._maximal(iter(fs)) == maximal_by_scan(fs), fs
+
+
 def trusted_complexes():
     """Every complex the census builds without the constructor's checks."""
     out = []
@@ -216,9 +335,33 @@ def trusted_complexes():
     return out
 
 
+def operation_results(seed, complexes):
+    """Seeded links, joins, complements, intersections and generated complexes
+    built from the given complexes."""
+    rng = random.Random(seed)
+    out = []
+    for c in complexes:
+        if c.is_void:
+            continue
+        other = rng.choice(complexes)
+        top = max(c.vertices, default=0)
+        shifted = other if other.is_void else Complex.from_facets(
+            tuple(v + top for v in f) for f in other.maximal_faces)
+        some = rng.sample(sorted(c.maximal_faces), rng.randint(1, len(c.maximal_faces)))
+        out += [link(c, rng.choice(c.facets)[:rng.randint(0, c.dimension + 1)]),
+                join(shifted, c),  # the higher labels first
+                intersect(c, other),
+                Complex.from_facets(f[:rng.randint(0, len(f))] for f in some)]
+        if c.is_pure:
+            out.append(complement(c, Complex.from_facets(some)))
+    return [c for c in out if not c.is_void]
+
+
 def test_trusted_complexes_pass_the_checked_constructor():
     built = trusted_complexes()
     assert len(built) == 7 * len(CENSUS_BALLS) + 6 * len(ODD_CENSUS) // 2
+    built += operation_results(18, PURE + MIXED + NON_PURE + [Complex.void(), Complex.empty()])
+    built += operation_results(19, CENSUS + ODD_CENSUS)
     for c in built:
         assert Complex(c.maximal_faces) == c
     for c in (Complex.void(), Complex.empty(), built[0]):

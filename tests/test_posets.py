@@ -7,10 +7,8 @@ import pytest
 
 from neighborly.posets import (
     Antichain,
-    antichain_leq,
     antichain_lt,
     componentwise_leq,
-    componentwise_lt,
     enumerate_antichains,
     facet_to_grid,
     format_antichain,
@@ -45,8 +43,6 @@ S314 = Antichain(3, 14, (
 def test_componentwise_orders():
     assert componentwise_leq((1, 2, 6, 7), (1, 2, 7, 8))
     assert not componentwise_leq((2, 3, 5, 6), (1, 2, 7, 8))
-    assert componentwise_lt((2, 3, 5, 6), (3, 4, 6, 7))
-    assert not componentwise_lt((1, 2, 6, 7), (1, 2, 7, 8))
     with pytest.raises(ValueError):
         componentwise_leq((1, 2), (1, 2, 3))
 
@@ -132,12 +128,25 @@ def test_antichain_grid_round_trip():
 
 def test_antichain_comparisons():
     t_weak = Antichain(2, 8, ((1, 2, 6, 7),))
-    assert antichain_leq(t_weak, S28)
     assert not antichain_lt(t_weak, S28)
     assert antichain_lt(T28, S28)
     assert antichain_lt(Antichain(2, 8, ()), S28)
     with pytest.raises(ValueError):
-        antichain_leq(Antichain(2, 6, ()), S28)
+        antichain_lt(Antichain(2, 6, ()), S28)
+
+
+def test_antichain_lt_matches_the_ideal_of_the_shifted_antichain():
+    # x lies strictly below a grid point e exactly when x <= e - 1, and
+    # shift_down(s) holds the points e - 1 that are still grid points
+    for k, n in ((2, 8), (3, 8), (3, 9)):
+        chains = list(enumerate_antichains(k, n))
+        for s in chains:
+            below = order_ideal(shift_down(s))
+            for t in chains:
+                want = all(x in below for x in t)
+                assert antichain_lt(t, s) == want, (t, s)
+                assert antichain_lt(t.to_pair_facets(), s.to_pair_facets()) == want, (t, s)
+            assert not antichain_lt(s, s) or not s
 
 
 def test_order_ideal_example():
