@@ -97,11 +97,13 @@ class Complex:
     def __post_init__(self) -> None:
         if self.maximal_faces is None:
             return
-        if not self.maximal_faces:
-            raise ValueError("a complex without facets is void: use Complex.void()")
-        for f in self.maximal_faces:
+        given = tuple(self.maximal_faces)
+        for f in given:
             if face(f) != f:
                 raise ValueError(f"face must be an increasing tuple: {f}")
+        object.__setattr__(self, "maximal_faces", frozenset(given))
+        if not self.maximal_faces:
+            raise ValueError("a complex without facets is void: use Complex.void()")
         if len(_maximal(self.maximal_faces)) != len(self.maximal_faces):
             raise ValueError("maximal faces must not contain one another")
 

@@ -8,6 +8,12 @@ is an isomorphism onto the pair facets ordered componentwise.  Both kinds
 of element compare by componentwise <=; the strict variant requires every
 coordinate to drop.  Antichains are stored sorted, and an antichain with
 k = 0 may contain the empty tuple as its only element.
+
+`Antichain(...)` and `parse_antichain` check input from outside the program.
+The antichains that `enumerate_antichains` yields, and the conversions
+between the two forms, are sorted, valid and pairwise incomparable by
+construction and go through the private unchecked constructor
+`Antichain._trusted`.
 """
 
 from __future__ import annotations
@@ -69,6 +75,19 @@ class Antichain:
             if componentwise_leq(a, b) or componentwise_leq(b, a):
                 raise ValueError(f"elements {a} and {b} are comparable")
 
+    @classmethod
+    def _trusted(cls, k: int, n: int, elements: tuple[tuple[int, ...], ...],
+                 grid: bool) -> "Antichain":
+        """Antichain on elements that are sorted, valid and pairwise
+        incomparable by construction, taken without the checks of
+        `__post_init__`."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "k", k)
+        object.__setattr__(a, "n", n)
+        object.__setattr__(a, "elements", elements)
+        object.__setattr__(a, "grid", grid)
+        return a
+
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.elements)
 
@@ -78,15 +97,18 @@ class Antichain:
     def __bool__(self) -> bool:
         return bool(self.elements)
 
+    # grid_to_facet and facet_to_grid preserve both the componentwise and the
+    # lexicographic order, so a converted antichain is sorted and valid as is
+
     def to_grid(self) -> "Antichain":
         if self.grid:
             return self
-        return Antichain(self.k, self.n, tuple(map(facet_to_grid, self.elements)), grid=True)
+        return Antichain._trusted(self.k, self.n, tuple(map(facet_to_grid, self.elements)), True)
 
     def to_pair_facets(self) -> "Antichain":
         if not self.grid:
             return self
-        return Antichain(self.k, self.n, tuple(map(grid_to_facet, self.elements)), grid=False)
+        return Antichain._trusted(self.k, self.n, tuple(map(grid_to_facet, self.elements)), False)
 
 
 def antichain_lt(t: Antichain, s: Antichain) -> bool:
@@ -202,42 +224,57 @@ def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
 
 
 def enumerate_antichains(
-    k: int, n: int, must_contain: GridPoint | None = None,
+    k: int, n: int, must_contain: Iterable[int] | None = None,
 ) -> Iterator[Antichain]:
     """All antichains of grid points, in lexicographic order of their element lists.
 
     With must_contain, only antichains through that grid point are produced;
     elements comparable to it are pruned up front.
+
+    The walk runs over bitmasks of point indices.  A point later in
+    lexicographic order never lies below an earlier one, so after[i], the
+    later points incomparable to point i, needs only the test p <= q.  An
+    antichain whose last point is i extends by the points of its candidate
+    mask, lowest first, and choosing point j leaves the candidates that are
+    also in after[j].  Through a target point t, an antichain that stops
+    before t tries only points up to t next: past t without it, no extension
+    reaches it.
     """
     if k < 1 or n < 2 * k:
         raise ValueError(f"ambient requires k >= 1 and n >= 2k, got k={k}, n={n}")
     pts = list(grid_points(k, n))
-    target = None
+    t, upto_t = 0, -1  # antichains are produced once their last point is at or past t
     if must_contain is not None:
-        if must_contain not in set(pts):
-            raise ValueError(f"{must_contain} is not a grid point for k={k}, n={n}")
+        g = tuple(must_contain)
+        if g not in set(pts):
+            raise ValueError(f"{g} is not a grid point for k={k}, n={n}")
         pts = [p for p in pts
-               if p == must_contain
-               or not (componentwise_leq(p, must_contain)
-                       or componentwise_leq(must_contain, p))]
-        target = pts.index(must_contain)
+               if p == g or not (componentwise_leq(p, g) or componentwise_leq(g, p))]
+        t = pts.index(g)
+        upto_t = (2 << t) - 1
+    after = [sum(1 << j for j in range(i + 1, len(pts)) if not componentwise_leq(p, pts[j]))
+             for i, p in enumerate(pts)]
+    everything = (1 << len(pts)) - 1
 
-    chosen: list[GridPoint] = []
-
-    def walk(start: int, have_target: bool) -> Iterator[Antichain]:
-        if have_target or target is None:
-            yield Antichain(k, n, tuple(chosen), grid=True)
-        for i in range(start, len(pts)):
-            if target is not None and not have_target and i > target:
-                break
-            p = pts[i]
-            if any(componentwise_leq(p, c) or componentwise_leq(c, p) for c in chosen):
+    def walk() -> Iterator[Antichain]:
+        if must_contain is None:
+            yield Antichain._trusted(k, n, (), True)
+        # a chosen antichain, the points it still tries next, and its candidates
+        stack = [((), everything & upto_t, everything)]
+        while stack:
+            chosen, todo, cand = stack.pop()
+            if not todo:
                 continue
-            chosen.append(p)
-            yield from walk(i + 1, have_target or i == target)
-            chosen.pop()
+            low = todo & -todo
+            i = low.bit_length() - 1
+            stack.append((chosen, todo ^ low, cand))
+            grown = chosen + (pts[i],)
+            cand &= after[i]
+            stack.append((grown, cand if i >= t else cand & upto_t, cand))
+            if i >= t:
+                yield Antichain._trusted(k, n, grown, True)
 
-    return walk(0, False)
+    return walk()
 
 
 def format_antichain(s: Antichain) -> str:

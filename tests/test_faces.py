@@ -58,12 +58,25 @@ def test_maximal_face_containment_rejected():
         Complex(frozenset({(1, 2), (1, 2, 3)}))
     with pytest.raises(ValueError, match="increasing"):
         Complex(frozenset({(3, 1, 2)}))
+    # a face that is not a tuple is rejected before the facets are hashed
+    with pytest.raises(ValueError, match="increasing"):
+        Complex([[1, 2]])
     # a complex without facets is the void complex, which has its own value
     with pytest.raises(ValueError, match="void"):
         Complex(frozenset())
     # from_facets absorbs dominated faces instead
     c = Complex.from_facets([(1, 2), (1, 2, 3)])
     assert c.facets == ((1, 2, 3),)
+
+
+def test_checked_constructor_stores_a_frozenset():
+    c = Complex([(1, 2), (2, 3), (1, 2)])
+    assert c.maximal_faces == frozenset({(1, 2), (2, 3)})
+    assert type(c.maximal_faces) is frozenset
+    assert c == Complex(frozenset({(1, 2), (2, 3)}))
+    assert hash(c) == hash(Complex(frozenset({(1, 2), (2, 3)})))
+    with pytest.raises(ValueError, match="void"):
+        Complex([])
 
 
 def test_membership_and_vertices():

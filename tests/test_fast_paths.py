@@ -1,10 +1,11 @@
 """Fast paths against slow references: the clearing GF(2) kernel, the ridge
 map, the neighborliness lookup, the sanity certificates from one ridge walk,
 the maximal-face rule, order ideals (whole or from a minimum label),
-restrictions and pair facets built from down-sets, the shelling step test
-and intersections by pairwise meets; the sanity certificates kept in the
-derived record; every unchecked result against the checked constructor; and
-the derived record staying out of equality, hashing, repr and pickles."""
+restrictions and pair facets built from down-sets, the shelling step test,
+intersections by pairwise meets and antichain enumeration over comparability
+masks; the sanity certificates kept in the derived record; every unchecked
+result against the checked constructor; and the derived record staying out
+of equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -30,6 +31,10 @@ from neighborly.faces import (
 from neighborly.posets import (
     Antichain,
     componentwise_leq,
+    enumerate_antichains,
+    facet_to_grid,
+    grid_points,
+    grid_to_facet,
     ideal_with_min,
     maximal_elements,
     order_ideal,
@@ -519,3 +524,76 @@ def test_find_shelling_same_with_maximal_meet_step(monkeypatch):
     slow = [find_shelling(c, budget) for c, budget in cases]
     assert fast == slow
     assert {c.verdict for c in fast} == {True, False, None}
+
+
+def scan_enumerate_antichains(k, n, must_contain=None):
+    """Antichains by a recursive walk that scans every chosen point for each candidate."""
+    if k < 1 or n < 2 * k:
+        raise ValueError(f"ambient requires k >= 1 and n >= 2k, got k={k}, n={n}")
+    pts = list(grid_points(k, n))
+    target = None
+    if must_contain is not None:
+        if must_contain not in set(pts):
+            raise ValueError(f"{must_contain} is not a grid point for k={k}, n={n}")
+        pts = [p for p in pts
+               if p == must_contain
+               or not (componentwise_leq(p, must_contain)
+                       or componentwise_leq(must_contain, p))]
+        target = pts.index(must_contain)
+
+    chosen = []
+
+    def walk(start, have_target):
+        if have_target or target is None:
+            yield Antichain(k, n, tuple(chosen), grid=True)
+        for i in range(start, len(pts)):
+            if target is not None and not have_target and i > target:
+                break
+            p = pts[i]
+            if any(componentwise_leq(p, c) or componentwise_leq(c, p) for c in chosen):
+                continue
+            chosen.append(p)
+            yield from walk(i + 1, have_target or i == target)
+            chosen.pop()
+
+    return walk(0, False)
+
+
+def fields(chains):
+    return [(a.k, a.n, a.elements, a.grid) for a in chains]
+
+
+# every ambient whose whole family the scanning walk lists in about a second
+SCAN_AMBIENTS = ([(1, n) for n in range(2, 17)] + [(2, n) for n in range(4, 15)]
+                 + [(3, n) for n in range(6, 12)] + [(4, n) for n in range(8, 12)])
+
+
+def test_mask_walk_matches_scanning_walk():
+    for k, n in SCAN_AMBIENTS:
+        assert fields(enumerate_antichains(k, n)) == fields(scan_enumerate_antichains(k, n)), (k, n)
+
+
+def test_mask_walk_through_every_point_matches_scanning_walk():
+    for k, n in ((1, 7), (2, 8), (2, 10), (3, 9), (3, 10), (4, 10), (4, 11)):
+        through = 0
+        for g in grid_points(k, n):
+            got = fields(enumerate_antichains(k, n, must_contain=g))
+            assert got == fields(scan_enumerate_antichains(k, n, must_contain=g)), (k, n, g)
+            assert all(g in elements for _, _, elements, _ in got)
+            through += len(got)
+        # each antichain is listed once through each of its points
+        assert through == sum(map(len, enumerate_antichains(k, n))), (k, n)
+
+
+def test_trusted_antichains_equal_checked_ones():
+    chains = [a for k, n in ((1, 6), (2, 9), (3, 10), (4, 11)) for a in enumerate_antichains(k, n)]
+    chains += enumerate_antichains(4, 12, must_contain=(1, 6, 7, 8))
+    for a in chains:
+        checked = Antichain(a.k, a.n, a.elements, grid=True)
+        assert a == checked and hash(a) == hash(checked)
+        assert pickle.loads(pickle.dumps(a)) == checked
+        facets = Antichain(a.k, a.n, tuple(map(grid_to_facet, a.elements)))
+        assert a.to_pair_facets() == facets and hash(a.to_pair_facets()) == hash(facets)
+        assert a.to_pair_facets().to_grid() == a
+        assert Antichain(a.k, a.n, tuple(map(facet_to_grid, facets.elements)), grid=True) == a
+        assert pickle.loads(pickle.dumps(a.to_pair_facets())) == facets

@@ -209,9 +209,11 @@ def test_enumerate_antichains_counts():
 
 
 def test_enumerate_antichains_against_subset_oracles():
-    for k, n in ((1, 6), (1, 12), (2, 6), (2, 7), (2, 8)):
+    pinned = {(3, 12): 21_760, (4, 12): 9_304}
+    for k, n in ((1, 6), (1, 12), (2, 6), (2, 7), (2, 8), (3, 12), (4, 12)):
         pts = grid_points(k, n)
         want = antichain_count_bitmask(pts, componentwise_leq)
+        assert want == pinned.get((k, n), want)
         assert sum(1 for _ in enumerate_antichains(k, n)) == want
         if len(pts) <= 16:
             assert want == antichain_count_powerset(pts, componentwise_leq)
@@ -225,6 +227,18 @@ def test_enumerate_antichains_must_contain():
         assert len(got) == want
         assert all(g in a.elements for a in got)
     assert sum(1 for _ in enumerate_antichains(3, 9, must_contain=(1, 5, 6))) == 11
+    # the families of the even k=3 n=13 census and of the shelling benchmark
+    for k, n, want in ((3, 13, 19_329), (4, 13, 8_952)):
+        got = enumerate_antichains(k, n, must_contain=max_slope_element(k, n))
+        assert sum(1 for _ in got) == want
+
+
+def test_enumerate_antichains_must_contain_any_sequence():
+    want = [a.elements for a in enumerate_antichains(2, 8, must_contain=(1, 5))]
+    assert [a.elements for a in enumerate_antichains(2, 8, must_contain=[1, 5])] == want
+    assert [a.elements for a in enumerate_antichains(2, 8, must_contain=iter((1, 5)))] == want
+    with pytest.raises(ValueError, match="not a grid point"):
+        enumerate_antichains(2, 8, must_contain=[9, 9])
 
 
 def test_enumerate_antichains_is_sorted_and_unique():
