@@ -64,37 +64,25 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     return result
 
 
-def _certified(s: Antichain, ball: Complex, sphere: Complex,
-               certs: tuple[Certificate, ...]) -> CensusEntry:
+def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
+    """Build and certify one census entry; the parity picks only the sphere step."""
+    s = a.to_pair_facets()
+    ball = relative_ball(s)
+    if parity == "even":
+        sphere, degree, top = sew(cyclic_boundary(2 * k, n), ball, n + 1), k, n + 1
+    else:
+        sphere, degree, top = boundary_complex(ball), k - 1, n
+    certs = (
+        is_i_neighborly(ball, k - 1, range(1, n + 1)),
+        is_r_stacked(ball, k - 1),
+        is_i_neighborly(sphere, degree, range(1, top + 1)),
+        sphere_sanity(sphere),
+    )
     if not all(c.verdict is True for c in certs):
         bad = [c.property for c in certs if c.verdict is not True]
         raise RuntimeError(f"certificates {bad} failed for antichain {s.elements}")
     return CensusEntry(s, Complex._trusted(ball.maximal_faces),
                        Complex._trusted(sphere.maximal_faces), certs)
-
-
-def _even_entry(k: int, n: int, a: Antichain) -> CensusEntry:
-    s = a.to_pair_facets()
-    ball = relative_ball(s)
-    sphere = sew(cyclic_boundary(2 * k, n), ball, n + 1)
-    return _certified(s, ball, sphere, (
-        is_i_neighborly(ball, k - 1, range(1, n + 1)),
-        is_r_stacked(ball, k - 1),
-        is_i_neighborly(sphere, k, range(1, n + 2)),
-        sphere_sanity(sphere),
-    ))
-
-
-def _odd_entry(k: int, n: int, a: Antichain) -> CensusEntry:
-    s = a.to_pair_facets()
-    ball = relative_ball(s)
-    sphere = boundary_complex(ball)
-    return _certified(s, ball, sphere, (
-        is_i_neighborly(ball, k - 1, range(1, n + 1)),
-        is_r_stacked(ball, k - 1),
-        is_i_neighborly(sphere, k - 1, range(1, n + 1)),
-        sphere_sanity(sphere),
-    ))
 
 
 def _check_census(parity: str, k: int, n: int) -> None:
@@ -122,8 +110,7 @@ def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     _check_census(parity, k, n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    entry = partial(_even_entry if parity == "even" else _odd_entry, k, n)
-    return _stream(entry, _family(k, n), jobs)
+    return _stream(partial(_entry, parity, k, n), _family(k, n), jobs)
 
 
 def _stream(entry: Callable[[Antichain], CensusEntry], family: Iterator[Antichain],

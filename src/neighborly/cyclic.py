@@ -61,4 +61,5 @@ def cyclic_boundary(d: int, n: int) -> Complex:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if n <= d:
         raise ValueError(f"need more vertices than the dimension: n={n}, d={d}")
-    return Complex(frozenset(_facets(d, n)))
+    # canonical facets of one size: none contains another
+    return Complex._trusted(frozenset(_facets(d, n)))

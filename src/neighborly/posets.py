@@ -10,10 +10,10 @@ coordinate to drop.  Antichains are stored sorted, and an antichain with
 k = 0 may contain the empty tuple as its only element.
 
 `Antichain(...)` and `parse_antichain` check input from outside the program.
-The antichains that `enumerate_antichains` yields, and the conversions
-between the two forms, are sorted, valid and pairwise incomparable by
-construction and go through the private unchecked constructor
-`Antichain._trusted`.
+The antichains that `enumerate_antichains` yields, the conversions
+between the two forms, and the results of `shift_down` and `restrict` are
+sorted, valid and pairwise incomparable by construction and go through the
+private unchecked constructor `Antichain._trusted`.
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ def max_slope_element(k: int, n: int) -> GridPoint:
 
 def shift_down(s: Antichain) -> Antichain:
     """Drop elements with a coordinate at 1 and lower the rest by one."""
+    # a uniform shift keeps the elements valid, sorted and incomparable
     kept = tuple(
         tuple(v - 1 for v in e) for e in s.elements if e and e[0] > 1)
-    return Antichain(s.k, s.n, kept, grid=s.grid)
+    return Antichain._trusted(s.k, s.n, kept, s.grid)
 
 
 def order_ideal(s: Antichain) -> frozenset[tuple[int, ...]]:
@@ -220,7 +221,7 @@ def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
         raise ValueError(f"interval longer than the facets: {interval}")
     run = tuple(range(j, j + 2 * l))
     tails = (e[2 * l:] for e in s if componentwise_leq(run, e[:2 * l]))
-    return Antichain(s.k - l, s.n, maximal_elements(tails), grid=False)
+    return Antichain._trusted(s.k - l, s.n, maximal_elements(tails), False)
 
 
 def enumerate_antichains(

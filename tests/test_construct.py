@@ -81,9 +81,19 @@ def test_even_census_smallest_case():
     for e in entries:
         assert e.sphere.vertices == tuple(range(1, 8))
         assert e.sphere.dimension == 3
-        assert [c.property for c in e.certificates] == [
-            "neighborly(1)", "stacked(1)", "neighborly(2)", "sphere-homology"]
         assert all(c.verdict is True for c in e.certificates)
+
+
+@pytest.mark.parametrize("parity, k, n, names", [
+    ("even", 2, 6, ["neighborly(1)", "stacked(1)", "neighborly(2)", "sphere-homology"]),
+    ("odd", 2, 6, ["neighborly(1)", "stacked(1)", "neighborly(1)", "sphere-homology"]),
+    ("odd", 3, 8, ["neighborly(2)", "stacked(2)", "neighborly(2)", "sphere-homology"]),
+])
+def test_certificate_names_by_parity(parity, k, n, names):
+    entries = list(census(parity, k, n))
+    assert entries
+    for e in entries:
+        assert [c.property for c in e.certificates] == names
 
 
 def test_even_census_contains_worked_example():

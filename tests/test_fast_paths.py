@@ -40,6 +40,7 @@ from neighborly.posets import (
     order_ideal,
     pair_facets,
     restrict,
+    shift_down,
 )
 from neighborly.squeezed import relative_ball
 from neighborly.verify import (
@@ -367,6 +368,7 @@ def test_trusted_complexes_pass_the_checked_constructor():
     assert len(built) == 7 * len(CENSUS_BALLS) + 6 * len(ODD_CENSUS) // 2
     built += operation_results(18, PURE + MIXED + NON_PURE + [Complex.void(), Complex.empty()])
     built += operation_results(19, CENSUS + ODD_CENSUS)
+    built += [cyclic_boundary(d, n) for d, n in ((2, 5), (3, 6), (4, 8), (5, 9), (6, 10), (7, 11))]
     for c in built:
         assert Complex(c.maximal_faces) == c
     for c in (Complex.void(), Complex.empty(), built[0]):
@@ -597,3 +599,12 @@ def test_trusted_antichains_equal_checked_ones():
         assert a.to_pair_facets().to_grid() == a
         assert Antichain(a.k, a.n, tuple(map(facet_to_grid, facets.elements)), grid=True) == a
         assert pickle.loads(pickle.dumps(a.to_pair_facets())) == facets
+    rng = random.Random(29)
+    for s in ANTICHAINS + [a.to_pair_facets() for a in rng.sample(chains, 400)]:
+        built = [shift_down(s), shift_down(s.to_grid())]
+        for l in range(1, s.k + 1):
+            j = rng.randint(1, max(1, s.n - 2 * l + 1))
+            built.append(restrict(s, (j, j + 2 * l - 1)))
+        for a in built:
+            checked = Antichain(a.k, a.n, a.elements, grid=a.grid)
+            assert a == checked and hash(a) == hash(checked), (s, a)
