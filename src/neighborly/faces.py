@@ -11,9 +11,13 @@ What is derived from a complex's facets (the facets in sorted order, its
 faces by size, the ridge incidence, the boundary, the Betti numbers, and the
 sphere and ball sanity certificates of `verify`) is computed at most once per
 complex and kept in a private record attached to it.  Each face level holds
-its faces in order of first appearance over the sorted facets, and the
-homology reads them in that order.  The record is a cache: it takes no part
-in equality, hashing, repr or pickling.
+its faces in order of first appearance over the sorted facets.  The record is
+a cache: it takes no part in equality, hashing, repr or pickling.
+
+The mod-2 homology does not read the face levels.  It eliminates over the
+chain complex relative to the star of the vertex in the most facets, whose
+cells are only the faces outside that star, each level again in order of
+first appearance over the sorted facets.
 
 One private rule, `_maximal`, decides which faces of a collection are
 maximal.  Input from outside the program is checked where it enters:
@@ -29,9 +33,10 @@ constructor `Complex._trusted`.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from types import MappingProxyType
 from typing import Any, Iterable, KeysView, Mapping
@@ -354,12 +359,21 @@ def _gf2_pivots(columns: Iterable[int]) -> set[int]:
 def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     """Reduced mod-2 Betti numbers in dimensions -1 .. dim(c).
 
-    Computed from the ranks of the boundary matrices of the reduced chain
-    complex (the empty face spans the (-1)-chains), from the top dimension
-    down with clearing (Chen and Kerber, "Persistent homology computation
-    with a twist", 2011): a face that is the pivot row of a reduced column
-    one dimension up has a boundary in the span of the boundaries of faces
-    before it, so its column is skipped without changing the rank.
+    The star of a vertex v is a cone, so its reduced chain complex is
+    acyclic and the long exact sequence of the pair (c, star v) gives
+    H~_i(c) = H_i(c, star v) (the first coreduction of Mrozek and Batko,
+    "Coreduction homology algorithm", 2009).  The cells of the relative
+    chain complex are the faces outside the star: the faces of the facets
+    that miss v, less the faces of the links F - {v} of the facets F that
+    hold v.  v is the vertex in the most facets, ties to the smallest label,
+    which leaves the fewest cells; the empty face lies in every star.
+
+    The ranks of the relative boundary matrices are found from the top
+    dimension down with clearing (Chen and Kerber, "Persistent homology
+    computation with a twist", 2011): a cell that is the pivot row of a
+    reduced column one dimension up has a boundary in the span of the
+    boundaries of cells before it, so its column is skipped without changing
+    the rank.
     """
     if c.is_void:
         raise ValueError("void has no faces")
@@ -367,21 +381,36 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     if record.betti is not None:
         return record.betti
     dim = c.dimension
-    # any fixed order is correct; first-seen order keeps the reductions short
-    by_size = [faces_of_size(c, size) for size in range(dim + 2)]
-    # ranks[s] = rank of the boundary map from faces of size s to size s-1
+    if dim < 0:
+        record.betti = (1,)  # the empty complex: the empty face is a cycle
+        return record.betti
+    facets = c.facets
+    load = Counter(chain.from_iterable(facets))
+    v = min(load, key=lambda u: (-load[u], u))
+    outside = [f for f in facets if v not in f]
+    links = [tuple(filter(v.__ne__, f)) for f in facets if v in f]
+    # cells[s] = faces of size s outside the star; any fixed order is
+    # correct, and first-seen order over the sorted facets keeps the
+    # reductions short
+    cells: list[dict[Face, None]] = [{}]
+    for s in range(1, dim + 2):
+        star = set(chain.from_iterable(map(combinations, links, repeat(s))))
+        cells.append(dict.fromkeys(filterfalse(
+            star.__contains__, chain.from_iterable(map(combinations, outside, repeat(s))))))
+    # ranks[s] = rank of the boundary map from cells of size s to size s-1
     ranks = [0] * (dim + 3)
-    cleared: set[int] = set()  # indices into by_size[s] of columns to skip
-    for s in range(dim + 1, 0, -1):
-        rows = by_size[s - 1]
-        bit = dict(zip(rows, map((1).__lshift__, range(len(rows))))).__getitem__
-        # the subfaces are distinct, so their sum is the column's bitmask
-        columns = (sum(map(bit, combinations(f, s - 1)))
-                   for j, f in enumerate(by_size[s]) if j not in cleared)
+    cleared: set[int] = set()  # indices into cells[s] of columns to skip
+    for s in range(dim + 1, 1, -1):
+        rows = cells[s - 1]
+        bit = dict(zip(rows, map((1).__lshift__, range(len(rows))))).get
+        # the subfaces are distinct, so their sum is the column's bitmask;
+        # a subface in the star is zero in the relative complex
+        columns = (sum(map(bit, combinations(f, s - 1), repeat(0)))
+                   for j, f in enumerate(cells[s]) if j not in cleared)
         cleared = _gf2_pivots(columns)
         ranks[s] = len(cleared)
     record.betti = tuple(
-        len(by_size[s]) - ranks[s] - ranks[s + 1] for s in range(dim + 2))
+        len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(dim + 2))
     return record.betti
 
 

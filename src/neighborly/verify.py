@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .faces import (
     Complex,
@@ -124,16 +124,14 @@ def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
     return Certificate("shellable", True, witness=list(order))
 
 
-class _Budget(Exception):
-    pass
-
-
 def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
     """Search for a shelling order by depth-first extension.
 
     Prefixes that use the same facet set succeed or fail together, so dead
     facet sets are memoized.  Exceeding the node budget yields verdict None;
     exhausting the search space without success is a genuine refutation.
+    The search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     if c.is_void or not c.is_pure:
         raise ValueError("shellings are defined for pure non-void complexes")
@@ -141,36 +139,39 @@ def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
     total = len(facets)
     dead: set[frozenset[Face]] = set()
     nodes = 0
-
-    def extend(used: frozenset[Face], prefix: list[Face]) -> bool:
-        nonlocal nodes
-        if len(prefix) == total:
-            return True
-        if used in dead:
-            return False
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        for f in facets:
-            if f in used:
-                continue
-            if prefix and not _step_ok(f, prefix):
-                continue
-            prefix.append(f)
-            if extend(used | {f}, prefix):
-                return True
-            prefix.pop()
-        dead.add(used)
-        return False
-
     prefix: list[Face] = []
-    try:
-        found = extend(frozenset(), prefix)
-    except _Budget:
-        return Certificate("shellable", None, witness=None)
-    if found:
-        return Certificate("shellable", True, witness=list(prefix))
-    return Certificate("shellable", False, witness=None)
+
+    def candidates(used: frozenset[Face]) -> Iterator[Face]:
+        # drawn lazily: `prefix` holds the prefix of the node whose candidates
+        # are drawn whenever one is drawn
+        return (f for f in facets if f not in used and (not prefix or _step_ok(f, prefix)))
+
+    # the open nodes, one per facet of the prefix plus the root: the facets
+    # used and the candidates not yet tried
+    stack: list[tuple[frozenset[Face], Iterator[Face]]] = []
+    used: frozenset[Face] = frozenset()
+    while len(prefix) < total:
+        if used in dead:
+            prefix.pop()
+        else:
+            nodes += 1
+            if nodes > budget:
+                return Certificate("shellable", None, witness=None)
+            stack.append((used, candidates(used)))
+        while stack:
+            used, todo = stack[-1]
+            f = next(todo, None)
+            if f is not None:
+                prefix.append(f)
+                used |= {f}
+                break
+            dead.add(used)
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        else:
+            return Certificate("shellable", False, witness=None)
+    return Certificate("shellable", True, witness=list(prefix))
 
 
 def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:

@@ -1,7 +1,8 @@
-"""Fast paths against slow references: the clearing GF(2) kernel, the ridge
-map, the neighborliness lookup, the sanity certificates from one ridge walk,
-the maximal-face rule, order ideals (whole or from a minimum label),
-restrictions and pair facets built from down-sets, the shelling step test,
+"""Fast paths against slow references: the clearing GF(2) kernel relative to
+a star, the ridge map, the neighborliness lookup, the sanity certificates from
+one ridge walk, the maximal-face rule, order ideals (whole or from a minimum
+label), restrictions and pair facets built from down-sets, the shelling step
+test, the shelling search on its own stack against a recursive one,
 intersections by pairwise meets and antichain enumeration over comparability
 masks; the sanity certificates kept in the derived record; every unchecked
 result against the checked constructor; and the derived record staying out
@@ -49,6 +50,7 @@ from neighborly.verify import (
     find_shelling,
     is_i_neighborly,
     is_r_stacked,
+    is_shelling,
     sphere_sanity,
 )
 
@@ -132,8 +134,59 @@ CENSUS = [c for e in even_census(3, 9) for c in (e.ball, boundary_complex(e.ball
 ODD_CENSUS = [c for e in odd_census(3, 9) for c in (e.ball, e.sphere)]
 
 
-@pytest.mark.parametrize("complexes", [PURE, MIXED, NON_PURE, CENSUS, ODD_CENSUS],
-                         ids=["pure", "mixed", "non-pure", "census", "odd-census"])
+TETRA_BOUNDARY = list(combinations(range(1, 5), 3))
+# the seven-vertex torus: Z/2 Betti numbers 1, 2, 1
+TORUS = [tuple(sorted(((i + a) % 7 + 1 for a in offsets)))
+         for i in range(7) for offsets in ((0, 1, 3), (0, 2, 3))]
+# the six-vertex projective plane: every vertex lies in five triangles
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+def polygon(m):
+    return [(1, m)] + [(v, v + 1) for v in range(1, m)]
+
+
+def disjoint_union(*facet_lists):
+    """The complexes side by side, each on labels above the last one's."""
+    out = []
+    for facets in facet_lists:
+        shift = max((v for f in out for v in f), default=0)
+        out += [tuple(v + shift for v in f) for f in facets]
+    return Complex.from_facets(out)
+
+
+# every facet holds the apex 9, so the relative complex has no cells
+CONES = [Complex.from_facets(f + (9,) for f in c.facets)
+         for c in PURE + MIXED + [Complex.empty()]]
+# the busiest vertex lies in one sphere only, so its star misses the other
+TWO_SPHERES = [disjoint_union(a, b) for a, b in [
+    (TETRA_BOUNDARY, TETRA_BOUNDARY),
+    (TETRA_BOUNDARY, cyclic_boundary(3, 7).facets),
+    (cyclic_boundary(3, 7).facets, TETRA_BOUNDARY),
+    (polygon(5), TETRA_BOUNDARY),
+    (cyclic_boundary(4, 7).facets, polygon(4)),
+]]
+# several vertices in the most facets
+TIED = [Complex.from_facets(fs) for fs in [
+    TETRA_BOUNDARY, polygon(3), polygon(6), [(1, 2), (2, 3), (3, 4)],
+    [(1, 2, 3), (3, 4, 5), (1, 5, 6)], [(2, 5, 7), (1, 5, 7), (3, 4)],
+    [(1, 3), (2, 3), (1, 4), (2, 4), (5,)],
+]]
+POINTS = ([Complex.from_facets((v,) for v in range(1, m + 1)) for m in range(1, 6)]
+          + [Complex.from_facets([(3,), (7,)])])
+SURFACES = [Complex(frozenset(TORUS)), Complex(frozenset(RP2))]
+CYCLIC = [Complex(cyclic_boundary(d, n).maximal_faces)
+          for d in range(2, 8) for n in range(d + 1, 11)]
+CENSUS_4_10 = [c for e in even_census(4, 10) for c in (e.ball, boundary_complex(e.ball), e.sphere)]
+
+
+@pytest.mark.parametrize("complexes", [PURE, MIXED, NON_PURE, CENSUS, ODD_CENSUS, CONES,
+                                       TWO_SPHERES, TIED, POINTS, SURFACES, CYCLIC,
+                                       CENSUS_4_10],
+                         ids=["pure", "mixed", "non-pure", "census", "odd-census", "cones",
+                              "two-spheres", "tied", "points", "surfaces", "cyclic",
+                              "census-4-10"])
 def test_clearing_betti_matches_full_elimination(complexes):
     for c in complexes:
         assert z2_reduced_betti(c) == slow_z2_reduced_betti(c), c.facets
@@ -183,10 +236,6 @@ def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
             assert copy == c and "_derived" not in vars(copy)
 
 
-TETRA_BOUNDARY = list(combinations(range(1, 5), 3))
-# the seven-vertex torus: Z/2 Betti numbers 1, 2, 1
-TORUS = [tuple(sorted(((i + a) % 7 + 1 for a in offsets)))
-         for i in range(7) for offsets in ((0, 1, 3), (0, 2, 3))]
 # an annulus of six triangles between the triangles 1 2 3 and 4 5 6
 ANNULUS = [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
 DISJOINT = TETRA_BOUNDARY + [tuple(v + 4 for v in f) for f in TETRA_BOUNDARY]
@@ -517,6 +566,57 @@ def test_intersect_matches_common_faces():
             # move b onto vertices a cannot have
             b = Complex(frozenset(tuple(v + 8 for v in f) for f in b.maximal_faces))
         assert intersect(a, b) == common_faces_intersect(a, b), (a.maximal_faces, b.maximal_faces)
+
+
+def recursive_find_shelling(c, budget):
+    """Depth-first search by recursion, with the same facet order, node
+    budget and dead-set memo as `find_shelling`."""
+    facets = sorted(c.facets)
+    dead = set()
+    nodes = 0
+
+    class Budget(Exception):
+        pass
+
+    def extend(used, prefix):
+        nonlocal nodes
+        if len(prefix) == len(facets):
+            return True
+        if used in dead:
+            return False
+        nodes += 1
+        if nodes > budget:
+            raise Budget
+        for f in facets:
+            if f in used or (prefix and not verify._step_ok(f, prefix)):
+                continue
+            prefix.append(f)
+            if extend(used | {f}, prefix):
+                return True
+            prefix.pop()
+        dead.add(used)
+        return False
+
+    prefix = []
+    try:
+        found = extend(frozenset(), prefix)
+    except Budget:
+        return Certificate("shellable", None, witness=None)
+    return Certificate("shellable", found, witness=list(prefix) if found else None)
+
+
+def test_find_shelling_matches_recursive_search():
+    cases = [(c, budget) for c in CENSUS_BALLS + PURE for budget in (10, 1_000_000)]
+    found = [find_shelling(c, budget) for c, budget in cases]
+    assert found == [recursive_find_shelling(c, budget) for c, budget in cases]
+    assert {c.verdict for c in found} == {True, False, None}
+
+
+def test_find_shelling_deeper_than_the_recursion_limit():
+    path = Complex.from_facets((v, v + 1) for v in range(1, 1101))
+    cert = find_shelling(path)
+    assert cert.verdict is True
+    assert is_shelling(path, cert.witness).verdict is True
 
 
 def test_find_shelling_same_with_maximal_meet_step(monkeypatch):
