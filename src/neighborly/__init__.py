@@ -9,7 +9,7 @@ from .construct import (
     odd_census,
     sew,
 )
-from .cyclic import cyclic_boundary, gale_even
+from .cyclic import cyclic_boundary
 from .faces import (
     Complex,
     Face,

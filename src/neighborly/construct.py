@@ -85,11 +85,15 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
                        Complex._trusted(sphere.maximal_faces), certs)
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"census needs k >= 2, got {k}")
+
+
 def _check_census(parity: str, k: int, n: int) -> None:
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if k < 2:
-        raise ValueError(f"census needs k >= 2, got {k}")
+    _check_k(k)
     if parity == "even" and n < 2 * k + 2:
         raise ValueError(f"census needs n >= 2k+2, got n={n}")
     if parity == "odd" and n < 2 * k:
@@ -144,6 +148,7 @@ def census_counts(k: int, n_range: Sequence[int]) -> list[tuple[int, int, int, b
     shortened by 2k; a ground set too small for any pair facet contributes
     the single empty antichain.
     """
+    _check_k(k)
     rows = []
     for n in n_range:
         size = sum(1 for _ in _family(k, n))

@@ -5,36 +5,16 @@ any two elements outside it have an even number of elements of the subset
 strictly between them.  So every facet decomposes canonically into a
 (possibly absent) odd-length run at 1, interior runs of even length, and a
 (possibly absent) odd-length run at n, which gives a direct enumeration
-for either parity of d.  gale_even tests a single subset.
+for either parity of d.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .faces import Complex, Face, face
+from .faces import Complex, Face
 from .posets import pair_facets
-
-
-def gale_even(f: Iterable[int], d: int, n: int) -> bool:
-    """Evenness test for a candidate facet of the cyclic d-polytope on [n]."""
-    f = face(f)
-    if len(f) != d:
-        raise ValueError(f"candidate must have {d} vertices, got {len(f)}")
-    if f and f[-1] > n:
-        raise ValueError(f"vertex {f[-1]} exceeds n={n}")
-    inside = set(f)
-    # prefix[x] = how many elements of f are <= x
-    prefix = [0] * (n + 1)
-    for x in range(1, n + 1):
-        prefix[x] = prefix[x - 1] + (x in inside)
-    outside = [x for x in range(1, n + 1) if x not in inside]
-    for a, b in combinations(outside, 2):
-        if (prefix[b - 1] - prefix[a]) % 2:
-            return False
-    return True
 
 
 def _facets(d: int, n: int) -> Iterator[Face]:

@@ -8,11 +8,11 @@ operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
 
 What is derived from a complex's facets (the facets in sorted order, its
-faces by size, the ridge incidence, the boundary, the Betti numbers, and the
-sphere and ball sanity certificates of `verify`) is computed at most once per
-complex and kept in a private record attached to it.  Each face level holds
-its faces in order of first appearance over the sorted facets.  The record is
-a cache: it takes no part in equality, hashing, repr or pickling.
+faces by size, the ridge incidence, the boundary and the Betti numbers) is
+computed at most once per complex and kept in a private record attached to
+it.  Each face level holds its faces in order of first appearance over the
+sorted facets.  The record is a cache: it takes no part in equality,
+hashing, repr or pickling.
 
 The mod-2 homology does not read the face levels.  It eliminates over the
 chain complex relative to the star of the vertex in the most facets, whose
@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from types import MappingProxyType
-from typing import Any, Iterable, KeysView, Mapping
+from typing import Iterable, KeysView, Mapping
 
 Face = tuple[int, ...]
 FVector = tuple[int, ...]
@@ -80,7 +80,7 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
-    __slots__ = ("facets", "faces", "ridges", "boundary", "betti", "sphere", "ball")
+    __slots__ = ("facets", "faces", "ridges", "boundary", "betti")
 
     def __init__(self) -> None:
         self.facets: tuple[Face, ...] | None = None  # sorted
@@ -89,8 +89,6 @@ class _Derived:
         self.ridges: dict[Face, tuple[Face, ...]] | None = None
         self.boundary: Complex | None = None
         self.betti: tuple[int, ...] | None = None
-        self.sphere: Any = None  # the verify.sphere_sanity certificate
-        self.ball: Any = None  # the verify.ball_sanity certificate
 
 
 @dataclass(frozen=True)

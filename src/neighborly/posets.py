@@ -283,7 +283,7 @@ def format_antichain(s: Antichain) -> str:
     return " ".join("(" + ",".join(map(str, e)) + ")" for e in s.elements)
 
 
-def parse_antichain(text: str, k: int, n: int, grid: bool = False) -> Antichain:
+def parse_antichain(text: str, k: int, n: int) -> Antichain:
     """Parse the one-line antichain format; a blank line is the empty antichain."""
     elems = []
     for tok in text.split():
@@ -291,4 +291,4 @@ def parse_antichain(text: str, k: int, n: int, grid: bool = False) -> Antichain:
             raise ValueError(f"bad antichain element: {tok!r}")
         body = tok[1:-1]
         elems.append(tuple(int(p) for p in body.split(",")) if body else ())
-    return Antichain(k, n, tuple(elems), grid=grid)
+    return Antichain(k, n, tuple(elems))

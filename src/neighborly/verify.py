@@ -135,6 +135,8 @@ def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
     """
     if c.is_void or not c.is_pure:
         raise ValueError("shellings are defined for pure non-void complexes")
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
     facets = sorted(c.facets)
     total = len(facets)
     dead: set[frozenset[Face]] = set()
@@ -196,13 +198,8 @@ def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
     return tuple(order)
 
 
-def _ridge_walk(c: Complex) -> tuple[tuple[Face, int] | None, tuple[Face, int] | None, bool, bool]:
-    """One pass over the ridge map of a pure complex: the first ridge whose
-    facet count is not 2 and the first with 3 or more (each with its count),
-    whether some ridge lies in a single facet, and facet-ridge connectivity
-    by union-find."""
-    not_two = crowded = None
-    boundary_seen = False
+def _connected(c: Complex) -> bool:
+    """Facet-ridge connectivity of a pure complex, by union-find over its ridge map."""
     parent = {f: f for f in c.facets}
 
     def root(f: Face) -> Face:
@@ -212,52 +209,39 @@ def _ridge_walk(c: Complex) -> tuple[tuple[Face, int] | None, tuple[Face, int] |
         return f
 
     components = len(parent)
-    for r, ms in ridge_facets(c).items():
-        if len(ms) != 2:
-            not_two = not_two or (r, len(ms))
-            if len(ms) == 1:
-                boundary_seen = True
-            else:
-                crowded = crowded or (r, len(ms))
+    for ms in ridge_facets(c).values():
         first = root(ms[0])
         for f in ms[1:]:
             top = root(f)
             if top != first:
                 parent[top] = first
                 components -= 1
-    return not_two, crowded, boundary_seen, components <= 1
+    return components <= 1
 
 
 def sphere_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a sphere: closed pseudomanifold, connected,
     and the mod-2 homology of a sphere of its dimension.
 
-    The certificate is kept in the complex's derived record, so a repeat
-    check of the same complex is a lookup.
+    Once every ridge lies in exactly two facets, a set of facets is a mod-2
+    top cycle exactly when it holds both facets of each ridge or neither,
+    that is when it is a union of facet-ridge components.  So the top Betti
+    number counts the components, and more than one means disconnected.
     """
     if c.is_void:
         raise ValueError("void complex")
     if not c.is_pure:
         raise ValueError("sanity checks require a pure complex")
-    record = c._derived
-    if record.sphere is None:
-        record.sphere = _sphere_certificate(c)
-    return record.sphere
-
-
-def _sphere_certificate(c: Complex) -> Certificate:
     name = "sphere-homology"
     if c.is_empty:
         return Certificate(name, True)  # boundary of a point
-    not_two, _, _, connected = _ridge_walk(c)
-    if not_two:
-        r, count = not_two
-        return Certificate(name, False, witness={"ridge": r, "facet_count": count})
-    if not connected:
-        return Certificate(name, False, witness={"reason": "disconnected"})
+    for r, ms in ridge_facets(c).items():
+        if len(ms) != 2:
+            return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
     betti = z2_reduced_betti(c)
-    expected = (0,) * (len(betti) - 1) + (1,)
-    if betti != expected:
+    if betti[-1] > 1:
+        return Certificate(name, False, witness={"reason": "disconnected"})
+    if betti != (0,) * (len(betti) - 1) + (1,):
         return Certificate(name, False, witness={"betti": betti})
     return Certificate(name, True)
 
@@ -266,30 +250,23 @@ def ball_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a ball: pseudomanifold with non-empty boundary,
     connected, trivial mod-2 homology, and a boundary passing sphere_sanity.
 
-    The certificate is kept in the complex's derived record, as for
-    sphere_sanity.
+    Connectivity needs a walk of its own here: a ball pinched at a vertex has
+    the homology of a point.
     """
     if c.is_void:
         raise ValueError("void complex")
     if not c.is_pure:
         raise ValueError("sanity checks require a pure complex")
-    record = c._derived
-    if record.ball is None:
-        record.ball = _ball_certificate(c)
-    return record.ball
-
-
-def _ball_certificate(c: Complex) -> Certificate:
     name = "ball-homology"
     if c.is_empty:
         return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
-    _, crowded, boundary_seen, connected = _ridge_walk(c)
-    if crowded:
-        r, count = crowded
-        return Certificate(name, False, witness={"ridge": r, "facet_count": count})
-    if not boundary_seen:
+    incidence = ridge_facets(c)
+    for r, ms in incidence.items():
+        if len(ms) > 2:
+            return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
+    if all(len(ms) == 2 for ms in incidence.values()):
         return Certificate(name, False, witness={"reason": "closed"})
-    if not connected:
+    if not _connected(c):
         return Certificate(name, False, witness={"reason": "disconnected"})
     betti = z2_reduced_betti(c)
     if any(betti):

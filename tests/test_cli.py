@@ -282,6 +282,22 @@ def test_census_counts_rejects_bad_range(capsys):
     assert run(["census-counts", "--k", "2", "--n-min", "9", "--n-max", "6"]) == 2
 
 
+def test_census_counts_refuses_k_1_as_census_does(capsys):
+    assert run(["census-counts", "--k", "1", "--n-min", "2", "--n-max", "4"]) == 2
+    counts = capsys.readouterr()
+    assert counts.out == ""
+    assert run(["census", "--parity", "even", "--k", "1", "--n", "6"]) == 2
+    assert capsys.readouterr().err == counts.err == "error: census needs k >= 2, got 1\n"
+
+
+def test_shelling_negative_budget_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "ball.txt").write_text(format_complex(REL), encoding="utf-8")
+    assert run(["shelling", "--input", str(tmp_path / "ball.txt"), "--budget", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search budget must be >= 0, got -3\n"
+
+
 def readme_command_lines():
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
     block = section.split("```sh", 1)[1].split("```", 1)[0]

@@ -162,6 +162,11 @@ def test_census_counts_table():
         (6, 2, 1, True), (7, 4, 1, True), (8, 8, 2, True), (9, 16, 4, True)]
 
 
+def test_census_counts_needs_k_at_least_2():
+    with pytest.raises(ValueError, match="census needs k >= 2, got 1"):
+        census_counts(1, range(2, 5))
+
+
 def test_collect_census_parallel_matches_serial():
     for parity, k, n in (("even", 2, 6), ("odd", 3, 8)):
         serial = collect_census(parity, k, n, jobs=1)

