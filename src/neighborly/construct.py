@@ -16,7 +16,13 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
-from .faces import Complex, boundary_complex, join
+from .faces import (
+    Complex,
+    boundary_complex,
+    join,
+    links_strongly_connected,
+    z2_reduced_betti,
+)
 from .posets import Antichain, enumerate_antichains, max_slope_element
 from .squeezed import relative_ball
 from .verify import Certificate, ball_sanity, is_i_neighborly, is_r_stacked, sphere_sanity
@@ -42,6 +48,29 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     b must be a full-dimensional proper subcomplex of delta, both must pass
     their sanity checks, and the new vertex must be unused.  The result is
     itself checked to be a sphere candidate before it is returned.
+
+    The result is given delta's mod-2 Betti numbers instead of a new
+    elimination when every face link of delta is strongly connected.  That
+    holds for the boundary of a simplicial polytope, whose face links are
+    boundaries of polytopes again (Ziegler, *Lectures on Polytopes*), and it
+    is checked on delta, once per complex.  With A the complex generated by
+    the facets of delta outside b, and C the cone over the boundary of b:
+
+    - A meets b in the boundary of b.  A boundary ridge of b lies in two
+      facets of the closed pseudomanifold delta, and the one not in b is in
+      A.  A face t of b that lies in a facet of A is joined to a facet of b
+      by a chain of facets through t, each sharing a ridge through t with
+      the next.  Some ridge of the chain has one facet in b and one in A, so
+      it is a boundary ridge of b, and t lies in it.
+    - A meets C in the boundary of b as well, since the new vertex is fresh.
+    - b is mod-2 acyclic by its sanity check, and C is a cone.
+
+    So the reduced Mayer-Vietoris sequences of delta = A + b and of the
+    result = A + C (Hatcher, *Algebraic Topology*, section 2.2) are zero in
+    the b and C terms and hold the same map from the homology of the
+    boundary of b to that of A, which gives both the same Betti numbers.
+    Without the link condition the result's homology is eliminated as for
+    any complex.  Either way `sphere_sanity` checks the result's own ridges.
     """
     sphere_cert = sphere_sanity(delta)
     if sphere_cert.verdict is not True:
@@ -58,6 +87,8 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     cone = join(boundary_complex(b), Complex(frozenset({(new_vertex,)})))
     # one facet size, canonical tuples: no need to check them again
     result = Complex._trusted((delta.maximal_faces - b.maximal_faces) | cone.maximal_faces)
+    if links_strongly_connected(delta):
+        result._derived.betti = z2_reduced_betti(delta)
     post = sphere_sanity(result)
     if post.verdict is not True:
         raise RuntimeError(f"sewing produced a non-sphere: {post.witness}")

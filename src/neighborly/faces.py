@@ -7,12 +7,15 @@ face is the *empty complex*.  The two are distinct values and every
 operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
 
-What is derived from a complex's facets (the facets in sorted order, its
-faces by size, the ridge incidence, the boundary and the Betti numbers) is
-computed at most once per complex and kept in a private record attached to
-it.  Each face level holds its faces in order of first appearance over the
-sorted facets.  The record is a cache: it takes no part in equality,
-hashing, repr or pickling.
+What is derived from a complex's facets (its dimension, purity and
+vertices, the facets in sorted order, its faces by size, the ridge
+incidence, the boundary, the Betti numbers and whether every face link is
+strongly connected) is computed at most once per complex and kept in a
+private record attached to it.  Each face level holds its faces in order of
+first appearance over the sorted facets.  The record is a cache: it takes
+no part in equality, hashing, repr or pickling.  One entry is not computed
+here: `construct.sew` gives a sewn sphere's record the Betti numbers of
+the ambient sphere, which Mayer-Vietoris proves equal (see `sew`).
 
 The mod-2 homology does not read the face levels.  It eliminates over the
 chain complex relative to the star of the vertex in the most facets, whose
@@ -80,15 +83,20 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
-    __slots__ = ("facets", "faces", "ridges", "boundary", "betti")
+    __slots__ = ("dimension", "pure", "vertices", "facets", "faces", "ridges",
+                 "boundary", "betti", "links_connected")
 
     def __init__(self) -> None:
+        self.dimension: int | None = None
+        self.pure: bool | None = None
+        self.vertices: tuple[int, ...] | None = None  # sorted
         self.facets: tuple[Face, ...] | None = None  # sorted
         # size -> faces of that size, in order of first appearance
         self.faces: dict[int, dict[Face, None]] = {}
-        self.ridges: dict[Face, tuple[Face, ...]] | None = None
+        self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
         self.boundary: Complex | None = None
         self.betti: tuple[int, ...] | None = None
+        self.links_connected: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -144,13 +152,19 @@ class Complex:
     def dimension(self) -> int:
         if self.maximal_faces is None:
             raise ValueError("void complex has no dimension")
-        return max(len(f) for f in self.maximal_faces) - 1
+        record = self._derived
+        if record.dimension is None:
+            record.dimension = max(map(len, self.maximal_faces)) - 1
+        return record.dimension
 
     @property
     def is_pure(self) -> bool:
         if self.maximal_faces is None:
             return True
-        return len({len(f) for f in self.maximal_faces}) == 1
+        record = self._derived
+        if record.pure is None:
+            record.pure = len(set(map(len, self.maximal_faces))) == 1
+        return record.pure
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -165,7 +179,10 @@ class Complex:
     def vertices(self) -> tuple[int, ...]:
         if self.maximal_faces is None:
             raise ValueError("void complex has no vertices")
-        return tuple(sorted({v for f in self.maximal_faces for v in f}))
+        record = self._derived
+        if record.vertices is None:
+            record.vertices = tuple(sorted(set(chain.from_iterable(self.maximal_faces))))
+        return record.vertices
 
     def __contains__(self, f: Iterable[int]) -> bool:
         if self.maximal_faces is None:
@@ -301,23 +318,24 @@ def ridge_facets(c: Complex) -> Mapping[Face, tuple[Face, ...]]:
     """Map each ridge (codimension-1 face) to the facets containing it.
 
     Ridges appear in the order their first facet comes in sorted facet order,
-    and each ridge's facets in sorted order.  The map is read-only.
+    and each ridge's facets in sorted order.  The map is read-only; once
+    built it is returned without checking the complex again.
     """
     if c.is_void:
         raise ValueError("void has no faces")
-    if not c.is_pure:
-        raise ValueError("ridge counting requires a pure complex")
-    d = c.dimension
-    if d < 0:
-        raise ValueError("no ridges in the empty complex")
     record = c._derived
     if record.ridges is None:
+        if not c.is_pure:
+            raise ValueError("ridge counting requires a pure complex")
+        d = c.dimension
+        if d < 0:
+            raise ValueError("no ridges in the empty complex")
         out: dict[Face, list[Face]] = {}
         for m in c.facets:
             for r in combinations(m, d):
                 out.setdefault(r, []).append(m)
-        record.ridges = {r: tuple(ms) for r, ms in out.items()}
-    return MappingProxyType(record.ridges)
+        record.ridges = MappingProxyType({r: tuple(ms) for r, ms in out.items()})
+    return record.ridges
 
 
 def boundary_complex(b: Complex) -> Complex:
@@ -337,6 +355,55 @@ def boundary_complex(b: Complex) -> Complex:
         bd = frozenset(r for r, ms in incidence.items() if len(ms) == 1)
         record.boundary = Complex._trusted(bd) if bd else Complex.empty()
     return record.boundary
+
+
+def links_strongly_connected(c: Complex) -> bool:
+    """Is the link of every face of the pure complex c strongly connected?
+
+    The facets of the link of a face t are the facets of c that hold t, less
+    t, and two of them share a ridge of the link exactly when their facets
+    share a ridge of c that holds t.  So each link is searched breadth-first
+    over the facets holding its face, stepping from a facet F across the
+    ridges F - {v} with v outside t, read off the ridge map.  The links of
+    ridges and facets are sets of points or the empty complex, which are
+    strongly connected; the smaller faces are searched one size at a time,
+    so only one level's facet lists are held at once.  A complex without
+    ridges raises as in `ridge_facets`.
+    """
+    incidence = ridge_facets(c)
+    record = c._derived
+    if record.links_connected is None:
+        # across[F] = (v, G) for each other facet G on the ridge F - {v}
+        across = {f: [(v, g) for v in f for g in incidence[tuple(filter(v.__ne__, f))]
+                      if g != f]
+                  for f in c.facets}
+        record.links_connected = all(
+            _star_connected(t, holding, across)
+            for size in range(c.dimension)
+            for t, holding in _facets_holding(c.facets, size).items())
+    return record.links_connected
+
+
+def _facets_holding(facets: Iterable[Face], size: int) -> dict[Face, list[Face]]:
+    """Each face of the given size, with the facets that hold it."""
+    out: dict[Face, list[Face]] = {}
+    for f in facets:
+        for t in combinations(f, size):
+            out.setdefault(t, []).append(f)
+    return out
+
+
+def _star_connected(t: Face, holding: list[Face], across: dict[Face, list[tuple[int, Face]]]
+                    ) -> bool:
+    """Do the facets holding t form one class under sharing a ridge that holds t?"""
+    seen = {holding[0]}
+    queue = [holding[0]]
+    for f in queue:
+        for v, g in across[f]:
+            if v not in t and g not in seen:
+                seen.add(g)
+                queue.append(g)
+    return len(seen) == len(holding)
 
 
 def _gf2_pivots(columns: Iterable[int]) -> set[int]:

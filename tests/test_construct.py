@@ -68,6 +68,21 @@ def test_sew_guards():
         sew(not_a_sphere, Complex.from_facets([(1, 2, 3)]), 9)
 
 
+# a 2-sphere: an annulus of six triangles between 1 2 3 and 4 5 6, capped by both
+ANNULUS = [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
+CAPPED = Complex.from_facets(ANNULUS + [(1, 2, 3), (4, 5, 6)])
+
+
+@pytest.mark.parametrize("patch", [
+    [(1, 2, 3), (1, 2, 4), (1, 2, 5)],  # a ridge in three facets
+    [(1, 2, 3), (4, 5, 6)],             # disconnected
+    ANNULUS,                            # connected, with a hole
+], ids=["three-on-a-ridge", "disconnected", "annulus"])
+def test_sew_refuses_patches_that_are_not_balls(patch):
+    with pytest.raises(ValueError, match="ball sanity"):
+        sew(CAPPED, Complex.from_facets(patch), 7)
+
+
 def test_sew_preserves_low_skeleton():
     """Cutting out a 1-stacked ball keeps every edge of the ambient sphere."""
     delta = cyclic_boundary(4, 8)

@@ -15,6 +15,7 @@ from neighborly.faces import (
     join,
     link,
     parse_complex,
+    ridge_facets,
     z2_reduced_betti,
 )
 
@@ -67,6 +68,27 @@ def test_maximal_face_containment_rejected():
     # from_facets absorbs dominated faces instead
     c = Complex.from_facets([(1, 2), (1, 2, 3)])
     assert c.facets == ((1, 2, 3),)
+
+
+def test_shape_and_ridge_map_are_kept_and_keep_their_errors():
+    void, empty = Complex.void(), Complex.empty()
+    mixed = Complex.from_facets([(1, 2, 3), (3, 4)])
+    for _ in range(2):  # the second round reads the record
+        with pytest.raises(ValueError, match="void complex has no dimension"):
+            void.dimension
+        with pytest.raises(ValueError, match="void complex has no vertices"):
+            void.vertices
+        assert void.is_pure and empty.is_pure and not mixed.is_pure
+        assert (empty.dimension, empty.vertices) == (-1, ())
+        assert (mixed.dimension, mixed.vertices) == (2, (1, 2, 3, 4))
+        with pytest.raises(ValueError, match="void has no faces"):
+            ridge_facets(void)
+        with pytest.raises(ValueError, match="no ridges in the empty complex"):
+            ridge_facets(empty)
+        with pytest.raises(ValueError, match="ridge counting requires a pure complex"):
+            ridge_facets(mixed)
+    assert ridge_facets(TETRA) is ridge_facets(TETRA)
+    assert ridge_facets(TETRA)[(1, 2)] == ((1, 2, 3), (1, 2, 4))
 
 
 def test_checked_constructor_stores_a_frozenset():

@@ -1,12 +1,13 @@
-"""Fast paths against slow references: the clearing GF(2) kernel relative to
-a star, the ridge map, the neighborliness lookup, the sanity certificates
-against one walk per condition, the maximal-face rule, order ideals (whole or
-from a minimum label), restrictions and pair facets built from down-sets, the
-shelling step test, the shelling search on its own stack against a recursive
-one, intersections by pairwise meets and antichain enumeration over
-comparability masks; every unchecked result against the checked
-constructor; and the derived record staying out of equality, hashing, repr
-and pickles."""
+"""Fast paths against slow references: the clearing GF(2) kernel relative to a
+star, the Betti numbers `sew` gives a sewn sphere from its ambient, the
+face-link check that licenses them, the ridge map, the neighborliness
+lookup, the sanity certificates against one walk per condition, the
+maximal-face rule, order ideals (whole or from a minimum label),
+restrictions and pair facets built from down-sets, the shelling step test,
+the shelling search on its own stack against a recursive one, intersections
+by pairwise meets and antichain enumeration over comparability masks; every
+unchecked result against the checked constructor; and the derived record
+staying out of equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -14,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from neighborly import faces, verify
+from neighborly import construct, faces, verify
 from neighborly.construct import collect_census, even_census, odd_census, sew
 from neighborly.cyclic import cyclic_boundary
 from neighborly.faces import (
@@ -26,6 +27,7 @@ from neighborly.faces import (
     intersect,
     join,
     link,
+    links_strongly_connected,
     ridge_facets,
     z2_reduced_betti,
 )
@@ -37,6 +39,7 @@ from neighborly.posets import (
     grid_points,
     grid_to_facet,
     ideal_with_min,
+    max_slope_element,
     maximal_elements,
     order_ideal,
     pair_facets,
@@ -263,6 +266,110 @@ def test_sanity_certificate_from_record_matches_a_fresh_check(check, facets, ver
     assert (first.verdict, first.witness) == (verdict, witness)
     assert check(c) == first
     assert check(Complex(frozenset(facets))) == first
+
+
+EVEN_GRID = [(2, n) for n in range(6, 13)] + [(3, n) for n in range(8, 11)] + [(4, 10), (4, 11)]
+
+
+def even_balls(k, n):
+    """The relative ball of every entry of the even census, in family order."""
+    return [relative_ball(a.to_pair_facets())
+            for a in enumerate_antichains(k, n, must_contain=max_slope_element(k, n))]
+
+
+@pytest.mark.parametrize("k, n", EVEN_GRID)
+def test_sewn_betti_from_the_ambient_match_full_elimination(k, n):
+    delta = cyclic_boundary(2 * k, n)
+    for ball in even_balls(k, n):
+        sphere = sew(delta, ball, n + 1)
+        given = z2_reduced_betti(sphere)  # read from the record sew filled
+        fresh = Complex._trusted(sphere.maximal_faces)
+        assert given == slow_z2_reduced_betti(sphere) == z2_reduced_betti(fresh), ball.facets
+        assert sphere_sanity(sphere).as_dict() == sphere_sanity(fresh).as_dict()
+
+
+def sew_counting_eliminations(monkeypatch, delta, ball, new_vertex):
+    """The sewn sphere and the number of GF(2) eliminations sewing it ran,
+    with the records of delta and the ball filled beforehand."""
+    sphere_sanity(delta)
+    ball_sanity(ball)
+    real = faces._gf2_pivots
+    calls = []
+    monkeypatch.setattr(faces, "_gf2_pivots", lambda columns: calls.append(1) or real(columns))
+    sphere = sew(delta, ball, new_vertex)
+    monkeypatch.setattr(faces, "_gf2_pivots", real)
+    return sphere, len(calls)
+
+
+def test_sew_gives_betti_only_under_the_link_condition(monkeypatch):
+    delta = cyclic_boundary(6, 9)
+    given = [sew_counting_eliminations(monkeypatch, delta, ball, 10) for ball in even_balls(3, 9)]
+    monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
+    computed = [sew_counting_eliminations(monkeypatch, delta, ball, 10)
+                for ball in even_balls(3, 9)]
+    assert len(given) == 11
+    for (sphere, eliminations), (again, own_eliminations) in zip(given, computed):
+        assert eliminations == 0
+        assert own_eliminations > 0
+        assert again == sphere
+        assert z2_reduced_betti(again) == z2_reduced_betti(sphere) == z2_reduced_betti(delta)
+
+
+def strongly_connected_by_meets(c):
+    """Facets joined by chains of facets that share all but one vertex."""
+    fs = c.facets
+    seen, queue = {fs[0]}, [fs[0]]
+    for f in queue:
+        for g in fs:
+            if g not in seen and len(set(f) & set(g)) == len(f) - 1:
+                seen.add(g)
+                queue.append(g)
+    return len(seen) == len(fs)
+
+
+def links_connected_by_meets(c):
+    """Every face's link, built by `link`, checked by facet meets."""
+    return all(strongly_connected_by_meets(link(c, t))
+               for size in range(c.dimension + 2) for t in faces.faces_of_size(c, size))
+
+
+def test_polytope_boundaries_have_strongly_connected_links():
+    for d in range(2, 9):
+        for n in range(d + 1, 13):
+            assert links_strongly_connected(cyclic_boundary(d, n)), (d, n)
+    for n in range(1, 9):
+        assert links_strongly_connected(Complex.from_facets(combinations(range(1, n + 2), n)))
+
+
+# closed pseudomanifolds: two spheres sharing a vertex, an edge or a triangle,
+# and two spheres apart
+PINCHED_COMPLEXES = [Complex.from_facets(fs) for fs in [
+    PINCHED,
+    list(combinations(range(1, 6), 4)) + [(1, 2, 6, 7), (1, 2, 6, 8), (1, 2, 7, 8),
+                                          (1, 6, 7, 8), (2, 6, 7, 8)],
+    list(combinations(range(1, 7), 5)) + [(1, 2, 3, 7, 8), (1, 2, 3, 7, 9), (1, 2, 3, 8, 9),
+                                          (1, 2, 7, 8, 9), (1, 3, 7, 8, 9), (2, 3, 7, 8, 9)],
+    DISJOINT,
+]]
+
+
+def test_pinched_complexes_fail_the_link_check():
+    for c in PINCHED_COMPLEXES:
+        assert not links_strongly_connected(c), c.facets
+        assert not links_connected_by_meets(c), c.facets
+
+
+def test_link_check_matches_links_checked_by_meets():
+    cases = PURE + CENSUS + ODD_CENSUS + SURFACES + PINCHED_COMPLEXES
+    cases += [c for c in TWO_SPHERES if c.is_pure]
+    cases += [Complex(frozenset(facets)) for facets in (ANNULUS, THREE_ON_A_RIDGE)]
+    verdicts = set()
+    for c in cases:
+        want = links_connected_by_meets(c)
+        assert links_strongly_connected(c) == want, c.facets
+        assert links_strongly_connected(Complex(c.maximal_faces)) == want, c.facets
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def connected_by_second_walk(c):
