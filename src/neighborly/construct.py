@@ -177,9 +177,12 @@ def census_counts(k: int, n_range: Sequence[int]) -> list[tuple[int, int, int, b
 
     The bound is the number of antichains of pair facets on a ground set
     shortened by 2k; a ground set too small for any pair facet contributes
-    the single empty antichain.
+    the single empty antichain.  Each n is checked first, as the odd census
+    checks it.
     """
     _check_k(k)
+    for n in n_range:
+        _check_census("odd", k, n)
     rows = []
     for n in n_range:
         size = sum(1 for _ in _family(k, n))

@@ -17,6 +17,11 @@ no part in equality, hashing, repr or pickling.  One entry is not computed
 here: `construct.sew` gives a sewn sphere's record the Betti numbers of
 the ambient sphere, which Mayer-Vietoris proves equal (see `sew`).
 
+One breadth-first search over the facets holding a face t, across the
+ridges holding t, decides strong connectivity: of the complex itself with t
+the empty face (`strongly_connected`), and of every face link
+(`links_strongly_connected`).
+
 The mod-2 homology does not read the face levels.  It eliminates over the
 chain complex relative to the star of the vertex in the most facets, whose
 cells are only the faces outside that star, each level again in order of
@@ -42,7 +47,7 @@ from functools import cached_property
 from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, KeysView, Mapping
+from typing import Iterable, KeysView, Mapping, Sequence
 
 Face = tuple[int, ...]
 FVector = tuple[int, ...]
@@ -330,11 +335,8 @@ def ridge_facets(c: Complex) -> Mapping[Face, tuple[Face, ...]]:
         d = c.dimension
         if d < 0:
             raise ValueError("no ridges in the empty complex")
-        out: dict[Face, list[Face]] = {}
-        for m in c.facets:
-            for r in combinations(m, d):
-                out.setdefault(r, []).append(m)
-        record.ridges = MappingProxyType({r: tuple(ms) for r, ms in out.items()})
+        record.ridges = MappingProxyType(
+            {r: tuple(ms) for r, ms in _facets_holding(c.facets, d).items()})
     return record.ridges
 
 
@@ -357,6 +359,12 @@ def boundary_complex(b: Complex) -> Complex:
     return record.boundary
 
 
+def strongly_connected(c: Complex) -> bool:
+    """Are the facets of the pure complex c one class under sharing a ridge?
+    That is the star of the empty face; raises as `ridge_facets` does."""
+    return _star_connected((), c.facets, _across(c))
+
+
 def links_strongly_connected(c: Complex) -> bool:
     """Is the link of every face of the pure complex c strongly connected?
 
@@ -370,18 +378,23 @@ def links_strongly_connected(c: Complex) -> bool:
     so only one level's facet lists are held at once.  A complex without
     ridges raises as in `ridge_facets`.
     """
-    incidence = ridge_facets(c)
     record = c._derived
     if record.links_connected is None:
-        # across[F] = (v, G) for each other facet G on the ridge F - {v}
-        across = {f: [(v, g) for v in f for g in incidence[tuple(filter(v.__ne__, f))]
-                      if g != f]
-                  for f in c.facets}
+        across = _across(c)
         record.links_connected = all(
             _star_connected(t, holding, across)
             for size in range(c.dimension)
             for t, holding in _facets_holding(c.facets, size).items())
     return record.links_connected
+
+
+def _across(c: Complex) -> dict[Face, list[tuple[int, Face]]]:
+    """across[F] = (v, G) for each other facet G on the ridge F - {v}."""
+    incidence = ridge_facets(c)
+    # the ridges of F in combinations order leave out its vertices last to first
+    return {f: [(v, g) for v, r in zip(reversed(f), combinations(f, len(f) - 1))
+                for g in incidence[r] if g != f]
+            for f in c.facets}
 
 
 def _facets_holding(facets: Iterable[Face], size: int) -> dict[Face, list[Face]]:
@@ -393,8 +406,8 @@ def _facets_holding(facets: Iterable[Face], size: int) -> dict[Face, list[Face]]
     return out
 
 
-def _star_connected(t: Face, holding: list[Face], across: dict[Face, list[tuple[int, Face]]]
-                    ) -> bool:
+def _star_connected(t: Face, holding: Sequence[Face],
+                    across: dict[Face, list[tuple[int, Face]]]) -> bool:
     """Do the facets holding t form one class under sharing a ridge that holds t?"""
     seen = {holding[0]}
     queue = [holding[0]]

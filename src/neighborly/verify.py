@@ -22,6 +22,7 @@ from .faces import (
     faces_of_size,
     h_vector,
     ridge_facets,
+    strongly_connected,
     z2_reduced_betti,
 )
 from .posets import Antichain
@@ -198,27 +199,6 @@ def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
     return tuple(order)
 
 
-def _connected(c: Complex) -> bool:
-    """Facet-ridge connectivity of a pure complex, by union-find over its ridge map."""
-    parent = {f: f for f in c.facets}
-
-    def root(f: Face) -> Face:
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    components = len(parent)
-    for ms in ridge_facets(c).values():
-        first = root(ms[0])
-        for f in ms[1:]:
-            top = root(f)
-            if top != first:
-                parent[top] = first
-                components -= 1
-    return components <= 1
-
-
 def sphere_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a sphere: closed pseudomanifold, connected,
     and the mod-2 homology of a sphere of its dimension.
@@ -250,8 +230,9 @@ def ball_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a ball: pseudomanifold with non-empty boundary,
     connected, trivial mod-2 homology, and a boundary passing sphere_sanity.
 
-    Connectivity needs a walk of its own here: a ball pinched at a vertex has
-    the homology of a point.
+    Connectivity is the star of the empty face, searched as every face link
+    is (a ball pinched at a vertex has the homology of a point), and whether
+    c is closed is read off the boundary that is certified anyway.
     """
     if c.is_void:
         raise ValueError("void complex")
@@ -260,18 +241,19 @@ def ball_sanity(c: Complex) -> Certificate:
     name = "ball-homology"
     if c.is_empty:
         return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
-    incidence = ridge_facets(c)
-    for r, ms in incidence.items():
+    for r, ms in ridge_facets(c).items():
         if len(ms) > 2:
             return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
-    if all(len(ms) == 2 for ms in incidence.values()):
+    boundary = boundary_complex(c)
+    # a point's boundary is the empty complex too, but one facet is never closed
+    if boundary.is_empty and len(c.maximal_faces) > 1:
         return Certificate(name, False, witness={"reason": "closed"})
-    if not _connected(c):
+    if not strongly_connected(c):
         return Certificate(name, False, witness={"reason": "disconnected"})
     betti = z2_reduced_betti(c)
     if any(betti):
         return Certificate(name, False, witness={"betti": betti})
-    sub = sphere_sanity(boundary_complex(c))
+    sub = sphere_sanity(boundary)
     if sub.verdict is not True:
         return Certificate(name, False, witness={"boundary": sub.as_dict()})
     return Certificate(name, True)

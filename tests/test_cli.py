@@ -290,6 +290,14 @@ def test_census_counts_refuses_k_1_as_census_does(capsys):
     assert capsys.readouterr().err == counts.err == "error: census needs k >= 2, got 1\n"
 
 
+def test_census_counts_refuses_small_n_as_census_does(capsys):
+    assert run(["census-counts", "--k", "2", "--n-min", "3", "--n-max", "5"]) == 2
+    counts = capsys.readouterr()
+    assert counts.out == ""
+    assert run(["census", "--parity", "odd", "--k", "2", "--n", "3"]) == 2
+    assert capsys.readouterr().err == counts.err == "error: census needs n >= 2k, got n=3\n"
+
+
 def test_shelling_negative_budget_is_a_usage_error(tmp_path, capsys):
     (tmp_path / "ball.txt").write_text(format_complex(REL), encoding="utf-8")
     assert run(["shelling", "--input", str(tmp_path / "ball.txt"), "--budget", "-3"]) == 2

@@ -182,6 +182,13 @@ def test_census_counts_needs_k_at_least_2():
         census_counts(1, range(2, 5))
 
 
+def test_census_counts_checks_every_n_as_the_odd_census_does():
+    with pytest.raises(ValueError, match=r"census needs n >= 2k, got n=3"):
+        census_counts(2, range(3, 6))
+    with pytest.raises(ValueError, match=r"census needs n >= 2k, got n=3"):
+        census_counts(2, [6, 3])
+
+
 def test_collect_census_parallel_matches_serial():
     for parity, k, n in (("even", 2, 6), ("odd", 3, 8)):
         serial = collect_census(parity, k, n, jobs=1)

@@ -1,13 +1,14 @@
 """Fast paths against slow references: the clearing GF(2) kernel relative to a
 star, the Betti numbers `sew` gives a sewn sphere from its ambient, the
-face-link check that licenses them, the ridge map, the neighborliness
-lookup, the sanity certificates against one walk per condition, the
-maximal-face rule, order ideals (whole or from a minimum label),
-restrictions and pair facets built from down-sets, the shelling step test,
-the shelling search on its own stack against a recursive one, intersections
-by pairwise meets and antichain enumeration over comparability masks; every
-unchecked result against the checked constructor; and the derived record
-staying out of equality, hashing, repr and pickles."""
+face-link check that licenses them and the strong connectivity that shares
+its search, the ridge map, the neighborliness lookup, the sanity
+certificates against one walk per condition, the maximal-face rule, order
+ideals (whole or from a minimum label), restrictions and pair facets built
+from down-sets, the shelling step test, the shelling search on its own
+stack against a recursive one, intersections by pairwise meets and
+antichain enumeration over comparability masks; every unchecked result
+against the checked constructor; and the derived record staying out of
+equality, hashing, repr and pickles."""
 
 import pickle
 import random
@@ -29,6 +30,7 @@ from neighborly.faces import (
     link,
     links_strongly_connected,
     ridge_facets,
+    strongly_connected,
     z2_reduced_betti,
 )
 from neighborly.posets import (
@@ -256,6 +258,14 @@ SANITY_CASES = [
     (ball_sanity, THREE_ON_A_RIDGE, False, {"ridge": (1, 2), "facet_count": 3}),
     (ball_sanity, ANNULUS, False, {"betti": (0, 0, 1, 0)}),
     (sphere_sanity, PINCHED, False, {"reason": "disconnected"}),
+    # dimensions 0 and 1, where the ridges are the empty face or vertices
+    (ball_sanity, [(1,)], True, None),
+    (ball_sanity, [(1,), (2,)], False, {"reason": "closed"}),
+    (sphere_sanity, [(1,), (2,)], True, None),
+    (ball_sanity, [(1, 2), (2, 3)], True, None),
+    (ball_sanity, [(1, 2), (3, 4)], False, {"reason": "disconnected"}),
+    (ball_sanity, [(1, 2), (1, 3), (2, 3)], False, {"reason": "closed"}),
+    (sphere_sanity, [(1, 2), (1, 3), (2, 3)], True, None),
 ]
 
 
@@ -362,14 +372,17 @@ def test_pinched_complexes_fail_the_link_check():
 def test_link_check_matches_links_checked_by_meets():
     cases = PURE + CENSUS + ODD_CENSUS + SURFACES + PINCHED_COMPLEXES
     cases += [c for c in TWO_SPHERES if c.is_pure]
-    cases += [Complex(frozenset(facets)) for facets in (ANNULUS, THREE_ON_A_RIDGE)]
+    # and two triangles sharing only a vertex
+    cases += [Complex(frozenset(facets))
+              for facets in (ANNULUS, THREE_ON_A_RIDGE, [(1, 2, 3), (3, 4, 5)])]
     verdicts = set()
     for c in cases:
-        want = links_connected_by_meets(c)
+        want, whole = links_connected_by_meets(c), strongly_connected_by_meets(c)
         assert links_strongly_connected(c) == want, c.facets
         assert links_strongly_connected(Complex(c.maximal_faces)) == want, c.facets
-        verdicts.add(want)
-    assert verdicts == {True, False}
+        assert strongly_connected(c) == whole, c.facets
+        verdicts.add((want, whole))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def connected_by_second_walk(c):
