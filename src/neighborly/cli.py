@@ -253,3 +253,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> int:
     return run(sys.argv[1:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

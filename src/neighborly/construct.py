@@ -21,6 +21,7 @@ from .faces import (
     boundary_complex,
     join,
     links_strongly_connected,
+    ridge_facets,
     z2_reduced_betti,
 )
 from .posets import Antichain, enumerate_antichains, max_slope_element
@@ -47,15 +48,28 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
 
     b must be a full-dimensional proper subcomplex of delta, both must pass
     their sanity checks, and the new vertex must be unused.  The result is
-    itself checked to be a sphere candidate before it is returned.
+    itself checked to be a sphere candidate before it is returned, so a
+    returned sphere passes `sphere_sanity`.
 
-    The result is given delta's mod-2 Betti numbers instead of a new
-    elimination when every face link of delta is strongly connected.  That
-    holds for the boundary of a simplicial polytope, whose face links are
-    boundaries of polytopes again (Ziegler, *Lectures on Polytopes*), and it
-    is checked on delta, once per complex.  With A the complex generated by
-    the facets of delta outside b, and C the cone over the boundary of b:
+    When every face link of delta is strongly connected, that check is
+    composed from the certified parts instead of run on the result.  The
+    link condition holds for the boundary of a simplicial polytope, whose
+    face links are boundaries of polytopes again (Ziegler, *Lectures on
+    Polytopes*), and it is checked on delta, once per complex.  With A the
+    complex generated by the facets of delta outside b, and C the cone over
+    the boundary of b:
 
+    - The result is a closed pseudomanifold once each facet of the boundary
+      of b lies in exactly two facets of delta, exactly one of them in b,
+      which is checked against delta's ridge map.  A ridge of the result
+      that is not a facet of the boundary of b and misses the new vertex
+      lies in no cone facet, so it lies in a facet of A; had its other
+      facet of delta been in b, it would be a boundary ridge of b, so it
+      keeps its two facets of delta.  A facet of the boundary of b lies in
+      one facet of A and one cone facet.  A ridge through the new vertex
+      is a ridge of the boundary of b plus that vertex, and lies in two
+      cone facets because the boundary of b passed `sphere_sanity` inside
+      `ball_sanity`.
     - A meets b in the boundary of b.  A boundary ridge of b lies in two
       facets of the closed pseudomanifold delta, and the one not in b is in
       A.  A face t of b that lies in a facet of A is joined to a facet of b
@@ -68,9 +82,9 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     So the reduced Mayer-Vietoris sequences of delta = A + b and of the
     result = A + C (Hatcher, *Algebraic Topology*, section 2.2) are zero in
     the b and C terms and hold the same map from the homology of the
-    boundary of b to that of A, which gives both the same Betti numbers.
-    Without the link condition the result's homology is eliminated as for
-    any complex.  Either way `sphere_sanity` checks the result's own ridges.
+    boundary of b to that of A, which gives both the same Betti numbers, and
+    the result is given delta's.  Those of a sphere make it connected.
+    Without the link condition `sphere_sanity` runs on the result itself.
     """
     sphere_cert = sphere_sanity(delta)
     if sphere_cert.verdict is not True:
@@ -84,30 +98,58 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
         raise ValueError("patch must be a proper subcomplex")
     if new_vertex in delta.vertices:
         raise ValueError(f"vertex {new_vertex} already present")
-    cone = join(boundary_complex(b), Complex(frozenset({(new_vertex,)})))
+    bd = boundary_complex(b)
+    cone = join(bd, Complex(frozenset({(new_vertex,)})))
     # one facet size, canonical tuples: no need to check them again
     result = Complex._trusted((delta.maximal_faces - b.maximal_faces) | cone.maximal_faces)
     if links_strongly_connected(delta):
+        post = _sewn_sanity(delta, b, bd)
         result._derived.betti = z2_reduced_betti(delta)
-    post = sphere_sanity(result)
+    else:
+        post = sphere_sanity(result)
     if post.verdict is not True:
         raise RuntimeError(f"sewing produced a non-sphere: {post.witness}")
     return result
 
 
+def _sewn_sanity(delta: Complex, b: Complex, bd: Complex) -> Certificate:
+    """`sphere_sanity` of b sewn into delta, composed as in `sew`: each facet
+    of the boundary bd of b lies in two facets of delta, one of them in b.
+
+    A failing facet r is reported as `sphere_sanity` reports a ridge, with
+    the number of facets of the sewn complex that hold it: its facets of
+    delta outside b, and one cone facet.
+    """
+    incidence = ridge_facets(delta)
+    in_b = b.maximal_faces.__contains__
+    for r in bd.facets:
+        ms = incidence.get(r, ())
+        inside = sum(map(in_b, ms))
+        if len(ms) != 2 or inside != 1:
+            return Certificate("sphere-homology", False,
+                               witness={"ridge": r, "facet_count": len(ms) - inside + 1})
+    return Certificate("sphere-homology", True)
+
+
 def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
-    """Build and certify one census entry; the parity picks only the sphere step."""
+    """Build and certify one census entry; the parity picks only the sphere step.
+
+    A sewn sphere's sanity certificate is the one `sew` checked before it
+    returned, so it is not computed again.
+    """
     s = a.to_pair_facets()
     ball = relative_ball(s)
     if parity == "even":
         sphere, degree, top = sew(cyclic_boundary(2 * k, n), ball, n + 1), k, n + 1
+        sanity = Certificate("sphere-homology", True)
     else:
         sphere, degree, top = boundary_complex(ball), k - 1, n
+        sanity = sphere_sanity(sphere)
     certs = (
         is_i_neighborly(ball, k - 1, range(1, n + 1)),
         is_r_stacked(ball, k - 1),
         is_i_neighborly(sphere, degree, range(1, top + 1)),
-        sphere_sanity(sphere),
+        sanity,
     )
     if not all(c.verdict is True for c in certs):
         bad = [c.property for c in certs if c.verdict is not True]

@@ -8,14 +8,18 @@ operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
 
 What is derived from a complex's facets (its dimension, purity and
-vertices, the facets in sorted order, its faces by size, the ridge
-incidence, the boundary, the Betti numbers and whether every face link is
-strongly connected) is computed at most once per complex and kept in a
-private record attached to it.  Each face level holds its faces in order of
-first appearance over the sorted facets.  The record is a cache: it takes
+vertices, the facets in sorted order, its faces by size, each vertex's
+bitmask of the sorted facets holding it, the ridge incidence, the
+boundary, the Betti numbers and whether every face link is strongly
+connected) is computed at most once per complex and kept in a private
+record attached to it.  Each face level holds its faces in order of first
+appearance over the sorted facets.  A set of vertices is a face exactly
+when the AND of its vertex masks is not zero, which `verify` uses to test
+faces without building a face level.  The record is a cache: it takes
 no part in equality, hashing, repr or pickling.  One entry is not computed
 here: `construct.sew` gives a sewn sphere's record the Betti numbers of
-the ambient sphere, which Mayer-Vietoris proves equal (see `sew`).
+the ambient sphere, which Mayer-Vietoris proves equal, and certifies the
+sewn sphere from its parts without building its ridge map (see `sew`).
 
 One breadth-first search over the facets holding a face t, across the
 ridges holding t, decides strong connectivity: of the complex itself with t
@@ -88,7 +92,7 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
-    __slots__ = ("dimension", "pure", "vertices", "facets", "faces", "ridges",
+    __slots__ = ("dimension", "pure", "vertices", "facets", "faces", "masks", "ridges",
                  "boundary", "betti", "links_connected")
 
     def __init__(self) -> None:
@@ -98,6 +102,8 @@ class _Derived:
         self.facets: tuple[Face, ...] | None = None  # sorted
         # size -> faces of that size, in order of first appearance
         self.faces: dict[int, dict[Face, None]] = {}
+        # vertex -> bitmask of the sorted facets holding it
+        self.masks: Mapping[int, int] | None = None  # read-only
         self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
         self.boundary: Complex | None = None
         self.betti: tuple[int, ...] | None = None
@@ -228,6 +234,26 @@ def faces_of_size(c: Complex, size: int) -> KeysView[Face]:
         level = levels[size] = dict.fromkeys(
             chain.from_iterable(map(combinations, c.facets, repeat(size))))
     return level.keys()
+
+
+def vertex_masks(c: Complex) -> Mapping[int, int]:
+    """Map each vertex to the bitmask of the facets holding it, bit j for the
+    j-th facet in sorted order.
+
+    A set of vertices is a face exactly when the AND of its masks is not
+    zero, so faces are tested without building a face level.  The map is
+    read-only and built once per complex.
+    """
+    if c.is_void:
+        raise ValueError("void has no faces")
+    record = c._derived
+    if record.masks is None:
+        masks: dict[int, int] = {}
+        for bit, f in zip(map((1).__lshift__, range(len(c.facets))), c.facets):
+            for v in f:
+                masks[v] = masks.get(v, 0) | bit
+        record.masks = MappingProxyType(masks)
+    return record.masks
 
 
 def all_faces(c: Complex, k: int) -> frozenset[Face]:

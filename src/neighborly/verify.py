@@ -11,7 +11,7 @@ disagreement raises instead of picking a side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Any, Iterable, Iterator
 
 from .faces import (
@@ -23,6 +23,7 @@ from .faces import (
     h_vector,
     ridge_facets,
     strongly_connected,
+    vertex_masks,
     z2_reduced_betti,
 )
 from .posets import Antichain
@@ -58,38 +59,62 @@ class Certificate:
 
 
 def is_i_neighborly(c: Complex, i: int, vertex_set: Iterable[int]) -> Certificate:
-    """Does every i-subset of the vertex set span a face of c?"""
+    """Does every i-subset of the vertex set span a face of c?
+
+    A subset spans a face when the AND of its vertices' facet masks is not
+    zero.  The ANDs are built one subset size at a time, each level in
+    combinations order, so the first zero at size i is the first i-subset
+    that spans no face.
+    """
     if i < 1:
         raise ValueError(f"neighborliness degree must be at least 1, got {i}")
     verts = sorted(set(vertex_set))
     if c.is_void or not set(c.vertices) <= set(verts):
         raise ValueError("vertex set must contain the vertices of the complex")
     name = f"neighborly({i})"
-    faces = faces_of_size(c, i)
-    for sub in combinations(verts, i):
-        if sub not in faces:
-            return Certificate(name, False, witness=sub)
+    masks = vertex_masks(c)
+    vmask = [masks.get(v, 0) for v in verts]
+    # (AND over a subset, index of the first vertex that may follow it), for
+    # the subsets of one size that still have room for i - size vertices;
+    # -1 has every bit set, so the empty subset lies in every facet
+    level = [(-1, 0)]
+    for size in range(1, i + 1):
+        level = [(mask & vmask[j], j + 1) for mask, start in level
+                 for j in range(start, len(verts) - i + size)]
+    for position, (mask, _) in enumerate(level):
+        if not mask:
+            return Certificate(name, False,
+                               witness=next(islice(combinations(verts, i), position, None)))
     return Certificate(name, True)
 
 
 def is_r_stacked(b: Complex, r: int) -> Certificate:
     """Is every face of dimension at most dim-r-1 a boundary face of the ball b?
 
-    Decided by comparing skeleta of b and its boundary, and independently by
-    h_i = 0 for i > r; the two must agree.
+    Decided by testing each face of b of dimension at most dim-r-1 against
+    the facet masks of its boundary, and independently by h_i = 0 for
+    i > r; the two must agree.  The witness is the least face of the
+    smallest size that is not a boundary face.
     """
     if b.is_void or not b.is_pure:
         raise ValueError("stackedness requires a pure non-void complex")
     if r < 0:
         raise ValueError(f"stackedness parameter must be >= 0, got {r}")
     bd = boundary_complex(b)
-    if bd.is_empty:
+    # a point's boundary is the empty complex too, but one facet is never closed
+    if bd.is_empty and len(b.maximal_faces) > 1:
         raise ValueError("closed complex")
     dim = b.dimension
     cut = dim - r - 1
     witness = None
-    for size in range(cut + 2):
-        missing = faces_of_size(b, size) - faces_of_size(bd, size)
+    masks = vertex_masks(bd)
+    # face of b -> AND of its vertices' facet masks in bd, one size at a
+    # time from each face's prefix; not zero exactly for the faces of bd,
+    # and -1, every facet, for the empty face, which lies in each complex
+    ands: dict[Face, int] = {(): -1}
+    for size in range(1, cut + 2):
+        ands = {f: ands[f[:-1]] & masks.get(f[-1], 0) for f in faces_of_size(b, size)}
+        missing = [f for f, mask in ands.items() if not mask]
         if missing:
             witness = min(missing)
             break

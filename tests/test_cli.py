@@ -1,12 +1,16 @@
 """Exit codes, output formats, and file round trips of the command line."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import neighborly
 from neighborly import construct
 from neighborly.cli import run
 from neighborly.faces import format_complex, parse_complex
@@ -304,6 +308,25 @@ def test_shelling_negative_budget_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: search budget must be >= 0, got -3\n"
+
+
+def run_module(module, *args):
+    """`python -m module args` in a new interpreter that imports this package."""
+    src = str(Path(neighborly.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["neighborly", "neighborly.cli"])
+def test_module_form_runs_the_command_line(module):
+    done = run_module(module, "census-counts", "--k", "2", "--n-min", "4", "--n-max", "6")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["n census bound ok", "4 1 1 yes", "5 1 1 yes",
+                                        "6 2 1 yes"]
+    refused = run_module(module, "census-counts", "--k", "1", "--n-min", "4", "--n-max", "6")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == "error: census needs k >= 2, got 1\n"
 
 
 def readme_command_lines():

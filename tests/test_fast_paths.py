@@ -1,7 +1,8 @@
 """Fast paths against slow references: the clearing GF(2) kernel relative to a
-star, the Betti numbers `sew` gives a sewn sphere from its ambient, the
-face-link check that licenses them and the strong connectivity that shares
-its search, the ridge map, the neighborliness lookup, the sanity
+star, the Betti numbers and the sphere certificate `sew` gives a sewn sphere
+from its parts, the face-link check that licenses them and the strong
+connectivity that shares its search, the ridge map, the neighborliness
+lookup and the stackedness skeleton by facet masks against face levels, the sanity
 certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
 from down-sets, the shelling step test, the shelling search on its own
@@ -25,6 +26,7 @@ from neighborly.faces import (
     boundary_complex,
     complement,
     f_vector,
+    faces_of_size,
     intersect,
     join,
     link,
@@ -206,15 +208,73 @@ def test_ridge_map_matches_multiplicity_oracle():
             assert all(set(r) < set(m) for m in ms)
 
 
+def neighborly_by_levels(c, i, vertex_set):
+    """Verdict and witness by looking every i-subset up in the level of faces
+    of size i."""
+    faces = faces_of_size(c, i)
+    for sub in combinations(sorted(set(vertex_set)), i):
+        if sub not in faces:
+            return False, sub
+    return True, None
+
+
+def stacked_skeleton_by_levels(b, r):
+    """The skeleton step of stackedness by face levels: the least face of the
+    smallest size up to dim - r that is not a face of the boundary, or None."""
+    bd = boundary_complex(b)
+    for size in range(b.dimension - r + 1):
+        missing = faces_of_size(b, size) - faces_of_size(bd, size)
+        if missing:
+            return min(missing)
+    return None
+
+
+def half_subcomplexes(seed, complexes, rounds=3):
+    """Complexes on a random half of the facets of each given complex."""
+    rng = random.Random(seed)
+    return [Complex._trusted(frozenset(rng.sample(c.facets, max(1, len(c.facets) // 2))))
+            for c in complexes for _ in range(rounds)]
+
+
+HALVES = half_subcomplexes(21, CENSUS + ODD_CENSUS)
+
+
 def test_neighborly_lookup_matches_facet_scan():
-    cases = [(c, i) for c in PURE + MIXED for i in range(1, c.dimension + 3)]
-    cases += [(c, i) for c in CENSUS for i in (2, 3, 4)]
-    cases += [(Complex.empty(), 1), (Complex.empty(), 2)]
+    """Verdict and witness of the facet-mask lookup against a scan of the
+    facets and against the face level, with degrees up to above the
+    dimension and above the number of vertices."""
+    cases = [(c, i) for c in PURE + MIXED + HALVES for i in range(1, c.dimension + 3)]
+    cases += [(c, i) for c in CENSUS + ODD_CENSUS for i in (2, 3, 4)]
+    cases += [(Complex.empty(), 1), (Complex.empty(), 2), (Complex.empty(), 4)]
+    verdicts = set()
     for c, i in cases:
         top = max(c.vertices, default=0)
-        for verts in (c.vertices, range(1, top + 2)):
-            cert = is_i_neighborly(c, i, verts)
-            assert (cert.verdict, cert.witness) == scan_neighborly(c, i, verts), (c.facets, i)
+        for verts in (c.vertices, range(1, top + 2), range(1, top + 4)):
+            for degree in (i, len(verts) + 1):
+                cert = is_i_neighborly(c, degree, verts)
+                want = scan_neighborly(c, degree, verts)
+                assert want == neighborly_by_levels(Complex._trusted(c.maximal_faces), degree, verts)
+                assert (cert.verdict, cert.witness) == want, (c.facets, degree, list(verts))
+                verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def test_facet_masks_match_face_levels_for_the_stacked_skeleton():
+    """Where the skeleton and h-vector checks disagree (the half subcomplexes
+    are seldom balls) the error names the skeleton verdict."""
+    outcomes = set()
+    for b in CENSUS_BALLS + [e.ball for e in odd_census(3, 9)] + HALVES:
+        for r in range(b.dimension + 1):
+            want = stacked_skeleton_by_levels(Complex._trusted(b.maximal_faces), r)
+            try:
+                cert = is_r_stacked(b, r)
+            except RuntimeError as exc:
+                assert f"(skeleton {want is None}," in str(exc), (b.facets, r)
+                outcomes.add(("disagree", want is None))
+            else:
+                assert (cert.verdict, cert.witness) == (want is None, want), (b.facets, r)
+                outcomes.add(("agree", want is None))
+    assert outcomes >= {("agree", True), ("agree", False), ("disagree", True)}
 
 
 def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
@@ -289,13 +349,31 @@ def even_balls(k, n):
 
 @pytest.mark.parametrize("k, n", EVEN_GRID)
 def test_sewn_betti_from_the_ambient_match_full_elimination(k, n):
+    """Also: each entry's sphere certificate, the one `sew` composed, is the
+    full `sphere_sanity` of a fresh copy of its sphere."""
     delta = cyclic_boundary(2 * k, n)
-    for ball in even_balls(k, n):
+    for ball, entry in zip(even_balls(k, n), even_census(k, n), strict=True):
         sphere = sew(delta, ball, n + 1)
         given = z2_reduced_betti(sphere)  # read from the record sew filled
         fresh = Complex._trusted(sphere.maximal_faces)
         assert given == slow_z2_reduced_betti(sphere) == z2_reduced_betti(fresh), ball.facets
         assert sphere_sanity(sphere).as_dict() == sphere_sanity(fresh).as_dict()
+        assert entry.sphere == sphere
+        assert entry.certificates[-1] == sphere_sanity(fresh)
+
+
+def test_sewn_sphere_record_holds_no_ridge_map_or_face_levels(monkeypatch):
+    """Under the link condition neither `sew` nor the sewn sphere's
+    neighborliness check builds the sphere's ridge map or a face level;
+    without it `sew` runs `sphere_sanity`, which builds the ridge map."""
+    delta = cyclic_boundary(6, 9)
+    for ball in even_balls(3, 9):
+        sphere = sew(delta, ball, 10)
+        assert is_i_neighborly(sphere, 3, range(1, 11)).verdict is True
+        assert sphere._derived.ridges is None and sphere._derived.faces == {}
+    monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
+    for ball in even_balls(3, 9):
+        assert sew(delta, ball, 10)._derived.ridges is not None
 
 
 def sew_counting_eliminations(monkeypatch, delta, ball, new_vertex):

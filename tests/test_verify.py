@@ -1,6 +1,7 @@
 """Certificates: neighborliness, stackedness, shellings, sphere/ball sanity."""
 
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -66,6 +67,18 @@ def test_stacked_rejects_closed_input():
         is_r_stacked(cyclic_boundary(4, 8), 1)
     with pytest.raises(ValueError):
         is_r_stacked(REL, -1)
+
+
+def test_stacked_takes_a_point_and_refuses_closed_complexes():
+    # a point's boundary is the empty complex, as a closed complex's is
+    point = Complex(frozenset({(1,)}))
+    assert h_vector(f_vector(point), 1) == (1, 0)
+    for r in (0, 1):
+        cert = is_r_stacked(point, r)
+        assert (cert.verdict, cert.witness) == (True, None)
+    for closed in ([(1,), (2,)], combinations(range(1, 5), 3)):
+        with pytest.raises(ValueError, match="closed"):
+            is_r_stacked(Complex.from_facets(closed), 0)
 
 
 def test_stacked_failure_witness_is_an_interior_face():
