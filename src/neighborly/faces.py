@@ -8,28 +8,34 @@ operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
 
 What is derived from a complex's facets (its dimension, purity and
-vertices, the facets in sorted order, its faces by size, each vertex's
-bitmask of the sorted facets holding it, the ridge incidence, the
-boundary, the Betti numbers and whether every face link is strongly
-connected) is computed at most once per complex and kept in a private
-record attached to it.  Each face level holds its faces in order of first
-appearance over the sorted facets.  A set of vertices is a face exactly
-when the AND of its vertex masks is not zero, which `verify` uses to test
-faces without building a face level.  The record is a cache: it takes
-no part in equality, hashing, repr or pickling.  One entry is not computed
-here: `construct.sew` gives a sewn sphere's record the Betti numbers of
-the ambient sphere, which Mayer-Vietoris proves equal, and certifies the
-sewn sphere from its parts without building its ridge map (see `sew`).
+vertices, the facets in sorted order, each vertex's bitmask of the sorted
+facets holding it, the ridge incidence, the boundary, the Betti numbers
+and whether every face link is strongly connected) is computed at most
+once per complex and kept in a private record attached to it.  The record
+is a cache: it takes no part in equality, hashing, repr or pickling.  One
+entry is not computed here: `construct.sew` gives a sewn sphere's record
+the Betti numbers of the ambient sphere, which Mayer-Vietoris proves
+equal, and proves the sewn sphere a closed pseudomanifold from its parts
+without building its ridge map (see `sew`).
+
+One rule answers every face question: a set of vertices is a face exactly
+when the AND of its vertices' facet masks is not zero, and that AND is
+the bitmask of the facets holding it.  `in` and `link` read it off
+directly.  The faces themselves are enumerated by one walk, one size at a
+time, each size in lexicographic order: a face extends by each later
+vertex that keeps the AND non-zero.  The f-vector counts the walk's
+levels, `all_faces` lists them, and `verify` reads its neighborliness and
+stackedness certificates off them.
 
 One breadth-first search over the facets holding a face t, across the
 ridges holding t, decides strong connectivity: of the complex itself with t
 the empty face (`strongly_connected`), and of every face link
 (`links_strongly_connected`).
 
-The mod-2 homology does not read the face levels.  It eliminates over the
-chain complex relative to the star of the vertex in the most facets, whose
-cells are only the faces outside that star, each level again in order of
-first appearance over the sorted facets.
+The mod-2 homology eliminates over the chain complex relative to the star
+of the vertex in the most facets, whose cells are only the faces outside
+that star, each level in order of first appearance over the sorted
+facets.
 
 One private rule, `_maximal`, decides which faces of a collection are
 maximal.  Input from outside the program is checked where it enters:
@@ -51,7 +57,7 @@ from functools import cached_property
 from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, KeysView, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Face = tuple[int, ...]
 FVector = tuple[int, ...]
@@ -92,16 +98,14 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
-    __slots__ = ("dimension", "pure", "vertices", "facets", "faces", "masks", "ridges",
-                 "boundary", "betti", "links_connected")
+    __slots__ = ("dimension", "pure", "vertices", "facets", "masks", "ridges", "boundary",
+                 "betti", "links_connected")
 
     def __init__(self) -> None:
         self.dimension: int | None = None
         self.pure: bool | None = None
         self.vertices: tuple[int, ...] | None = None  # sorted
         self.facets: tuple[Face, ...] | None = None  # sorted
-        # size -> faces of that size, in order of first appearance
-        self.faces: dict[int, dict[Face, None]] = {}
         # vertex -> bitmask of the sorted facets holding it
         self.masks: Mapping[int, int] | None = None  # read-only
         self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
@@ -196,10 +200,7 @@ class Complex:
         return record.vertices
 
     def __contains__(self, f: Iterable[int]) -> bool:
-        if self.maximal_faces is None:
-            return False
-        sf = set(f)
-        return any(sf.issubset(m) for m in self.maximal_faces)
+        return _holding(self, f) != 0
 
     def __repr__(self) -> str:
         if self.maximal_faces is None:
@@ -219,30 +220,11 @@ class Complex:
         return _Derived()
 
 
-def faces_of_size(c: Complex, size: int) -> KeysView[Face]:
-    """Every face with exactly `size` vertices; empty above the top dimension.
-
-    A read-only set view, in order of first appearance over the sorted facets.
-    """
-    if c.is_void:
-        raise ValueError("void has no faces")
-    if size < 0:
-        raise ValueError(f"face size must be >= 0, got {size}")
-    levels = c._derived.faces
-    level = levels.get(size)
-    if level is None:
-        level = levels[size] = dict.fromkeys(
-            chain.from_iterable(map(combinations, c.facets, repeat(size))))
-    return level.keys()
-
-
 def vertex_masks(c: Complex) -> Mapping[int, int]:
     """Map each vertex to the bitmask of the facets holding it, bit j for the
     j-th facet in sorted order.
 
-    A set of vertices is a face exactly when the AND of its masks is not
-    zero, so faces are tested without building a face level.  The map is
-    read-only and built once per complex.
+    The map is read-only and built once per complex.
     """
     if c.is_void:
         raise ValueError("void has no faces")
@@ -256,27 +238,80 @@ def vertex_masks(c: Complex) -> Mapping[int, int]:
     return record.masks
 
 
+def _holding(c: Complex, vertices: Iterable[int]) -> int:
+    """Bitmask of the sorted facets of c holding every given vertex: the AND
+    of their masks, not zero exactly for a face.  -1, every bit set, for
+    the empty face, which lies in every facet; 0 in the void complex."""
+    if c.maximal_faces is None:
+        return 0
+    masks = vertex_masks(c)
+    meet = -1
+    for v in vertices:
+        meet &= masks.get(v, 0)
+    return meet
+
+
+def _walk(c: Complex, second: Complex | None = None) -> Iterator[list[tuple[int, int, int]]]:
+    """The faces of c one size at a time, from the empty face up to the
+    facets of the largest size, each level in lexicographic order.
+
+    A face is held as (the AND of its vertices' masks in c, the AND of
+    their masks in the second complex, the index in c's sorted vertices of
+    the first vertex that may follow it).  The second AND is not zero
+    exactly for the faces of the second complex; without one it is 0 above
+    the empty face.  A face extends by each later vertex that keeps the
+    first AND non-zero, so no level holds a vertex set that is not a face.
+    """
+    verts = c.vertices
+    own = list(map(vertex_masks(c).__getitem__, verts))
+    other = ([0] * len(verts) if second is None
+             else list(map(vertex_masks(second).get, verts, repeat(0))))
+    # later[j]: each vertex from the j-th on, as its mask in c, its mask in
+    # the second complex and the index after it; lists, because tuples of
+    # every length would fill the interpreter's per-length free lists and
+    # raise a census's peak memory
+    later = [list(zip(own[j:], other[j:], range(j + 1, len(verts) + 1)))
+             for j in range(len(verts) + 1)]
+    level = [(-1, -1, 0)]
+    while level:
+        yield level
+        level = [(meet, rest & mask2, after) for mask, rest, start in level
+                 for mask1, mask2, after in later[start] if (meet := mask & mask1)]
+
+
 def all_faces(c: Complex, k: int) -> frozenset[Face]:
-    """Every face of dimension at most k (the k-skeleton as a face set)."""
+    """Every face of dimension at most k (the k-skeleton as a face set).
+
+    The faces are found as `_walk` finds them, each carrying its vertices,
+    which the walk leaves out to stay fast.
+    """
     if c.is_void:
         raise ValueError("void has no faces")
     if k < -1:
         raise ValueError(f"skeleton dimension must be >= -1, got {k}")
-    top = min(k, c.dimension) + 1
-    return frozenset().union(*(faces_of_size(c, size) for size in range(top + 1)))
+    verts = c.vertices
+    own = list(map(vertex_masks(c).__getitem__, verts))
+    level: list[tuple[Face, int, int]] = [((), -1, 0)]
+    faces = [()]
+    for _ in range(min(k, c.dimension) + 1):
+        level = [(t + (verts[j],), meet, j + 1) for t, mask, start in level
+                 for j in range(start, len(verts)) if (meet := mask & own[j])]
+        faces += (t for t, _, _ in level)
+    return frozenset(faces)
 
 
 def link(c: Complex, t: Iterable[int]) -> Complex:
     """Link of the face t: all faces disjoint from t whose union with t is in c."""
     t = face(t)
-    if t not in c:
+    holding = _holding(c, t)
+    if not holding:
         raise ValueError("not a face")
     st = set(t)
     # M - t over maximal M containing t: increasing, and pairwise incomparable
     # because M - t lies in M' - t only if M lies in M'
     return Complex._trusted(frozenset(
         tuple(v for v in m if v not in st)
-        for m in c.maximal_faces if st.issubset(m)))
+        for j, m in enumerate(c.facets) if holding >> j & 1))
 
 
 def join(a: Complex, b: Complex) -> Complex:
@@ -329,7 +364,7 @@ def f_vector(c: Complex) -> FVector:
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} = 1 always."""
     if c.is_void:
         raise ValueError("void has no faces")
-    return tuple(len(faces_of_size(c, size)) for size in range(c.dimension + 2))
+    return tuple(map(len, _walk(c)))
 
 
 def h_vector(f: FVector, d: int) -> HVector:

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from typing import Any, Iterable, Iterator
 
 from .faces import (
     Complex,
     Face,
+    _holding,
+    _walk,
     boundary_complex,
-    f_vector,
-    faces_of_size,
     h_vector,
     ridge_facets,
     strongly_connected,
-    vertex_masks,
     z2_reduced_betti,
 )
 from .posets import Antichain
@@ -61,10 +61,10 @@ class Certificate:
 def is_i_neighborly(c: Complex, i: int, vertex_set: Iterable[int]) -> Certificate:
     """Does every i-subset of the vertex set span a face of c?
 
-    A subset spans a face when the AND of its vertices' facet masks is not
-    zero.  The ANDs are built one subset size at a time, each level in
-    combinations order, so the first zero at size i is the first i-subset
-    that spans no face.
+    Every face of c lies in the vertex set, so c is i-neighborly exactly
+    when its walk's level of faces with i vertices has as many entries as
+    the vertex set has i-subsets.  Only on failure is the witness sought:
+    the first i-subset in combinations order that spans no face.
     """
     if i < 1:
         raise ValueError(f"neighborliness degree must be at least 1, got {i}")
@@ -72,29 +72,20 @@ def is_i_neighborly(c: Complex, i: int, vertex_set: Iterable[int]) -> Certificat
     if c.is_void or not set(c.vertices) <= set(verts):
         raise ValueError("vertex set must contain the vertices of the complex")
     name = f"neighborly({i})"
-    masks = vertex_masks(c)
-    vmask = [masks.get(v, 0) for v in verts]
-    # (AND over a subset, index of the first vertex that may follow it), for
-    # the subsets of one size that still have room for i - size vertices;
-    # -1 has every bit set, so the empty subset lies in every facet
-    level = [(-1, 0)]
-    for size in range(1, i + 1):
-        level = [(mask & vmask[j], j + 1) for mask, start in level
-                 for j in range(start, len(verts) - i + size)]
-    for position, (mask, _) in enumerate(level):
-        if not mask:
-            return Certificate(name, False,
-                               witness=next(islice(combinations(verts, i), position, None)))
-    return Certificate(name, True)
+    if len(next(islice(_walk(c), i, None), ())) == comb(len(verts), i):
+        return Certificate(name, True)
+    return Certificate(name, False, witness=next(
+        t for t in combinations(verts, i) if not _holding(c, t)))
 
 
 def is_r_stacked(b: Complex, r: int) -> Certificate:
     """Is every face of dimension at most dim-r-1 a boundary face of the ball b?
 
-    Decided by testing each face of b of dimension at most dim-r-1 against
-    the facet masks of its boundary, and independently by h_i = 0 for
-    i > r; the two must agree.  The witness is the least face of the
-    smallest size that is not a boundary face.
+    One walk over the faces of b, with the boundary as the second complex,
+    decides it two ways: the levels up to size dim-r hold no face whose AND
+    of boundary masks is zero, and, from the level sizes, h_i = 0 for
+    i > r; the two must agree.  The witness, sought only on failure, is
+    the least face of the smallest size that is not a boundary face.
     """
     if b.is_void or not b.is_pure:
         raise ValueError("stackedness requires a pure non-void complex")
@@ -105,25 +96,20 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     if bd.is_empty and len(b.maximal_faces) > 1:
         raise ValueError("closed complex")
     dim = b.dimension
-    cut = dim - r - 1
-    witness = None
-    masks = vertex_masks(bd)
-    # face of b -> AND of its vertices' facet masks in bd, one size at a
-    # time from each face's prefix; not zero exactly for the faces of bd,
-    # and -1, every facet, for the empty face, which lies in each complex
-    ands: dict[Face, int] = {(): -1}
-    for size in range(1, cut + 2):
-        ands = {f: ands[f[:-1]] & masks.get(f[-1], 0) for f in faces_of_size(b, size)}
-        missing = [f for f, mask in ands.items() if not mask]
-        if missing:
-            witness = min(missing)
-            break
-    by_skeleton = witness is None
-    h = h_vector(f_vector(b), dim + 1)
+    f: list[int] = []
+    missing = None  # the smallest size of a face of b that is not a face of bd
+    for size, level in enumerate(_walk(b, bd)):
+        f.append(len(level))
+        if missing is None and size <= dim - r and not all(rest for _, rest, _ in level):
+            missing = size
+    by_skeleton = missing is None
+    h = h_vector(tuple(f), dim + 1)
     by_h = all(x == 0 for x in h[r + 1:])
     if by_skeleton != by_h:
         raise RuntimeError(
             f"stackedness checks disagree (skeleton {by_skeleton}, h-vector {by_h}, h={h})")
+    witness = None if by_skeleton else next(
+        t for t in combinations(b.vertices, missing) if _holding(b, t) and not _holding(bd, t))
     return Certificate(f"stacked({r})", by_skeleton, witness=witness)
 
 

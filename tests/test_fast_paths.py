@@ -1,8 +1,9 @@
 """Fast paths against slow references: the clearing GF(2) kernel relative to a
 star, the Betti numbers and the sphere certificate `sew` gives a sewn sphere
 from its parts, the face-link check that licenses them and the strong
-connectivity that shares its search, the ridge map, the neighborliness
-lookup and the stackedness skeleton by facet masks against face levels, the sanity
+connectivity that shares its search, the ridge map, the face walk (f-vectors,
+face sets, face tests, neighborliness and the stackedness skeleton) against
+face levels built from facet subsets and against the closure oracles, the sanity
 certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
 from down-sets, the shelling step test, the shelling search on its own
@@ -13,7 +14,7 @@ equality, hashing, repr and pickles."""
 
 import pickle
 import random
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import pytest
 
@@ -26,7 +27,7 @@ from neighborly.faces import (
     boundary_complex,
     complement,
     f_vector,
-    faces_of_size,
+    h_vector,
     intersect,
     join,
     link,
@@ -61,7 +62,7 @@ from neighborly.verify import (
     sphere_sanity,
 )
 
-from oracles import closure_faces, ridge_multiplicities
+from oracles import closure_faces, f_vector_by_closure, ridge_multiplicities
 
 
 def slow_gf2_rank(columns):
@@ -208,6 +209,12 @@ def test_ridge_map_matches_multiplicity_oracle():
             assert all(set(r) < set(m) for m in ms)
 
 
+def faces_of_size(c, size):
+    """Every face with exactly `size` vertices, in order of first appearance
+    over the sorted facets."""
+    return dict.fromkeys(chain.from_iterable(map(combinations, c.facets, repeat(size)))).keys()
+
+
 def neighborly_by_levels(c, i, vertex_set):
     """Verdict and witness by looking every i-subset up in the level of faces
     of size i."""
@@ -275,6 +282,71 @@ def test_facet_masks_match_face_levels_for_the_stacked_skeleton():
                 assert (cert.verdict, cert.witness) == (want is None, want), (b.facets, r)
                 outcomes.add(("agree", want is None))
     assert outcomes >= {("agree", True), ("agree", False), ("disagree", True)}
+
+
+def stacked_by_levels(b, r):
+    """Verdict and witness of stackedness from the skeleton reference, or the
+    error: ValueError when the boundary rule refuses b or b is closed, and
+    RuntimeError when the h-vector disagrees."""
+    try:
+        bd = boundary_complex(b)
+    except ValueError:
+        return ValueError
+    if bd.is_empty and len(b.maximal_faces) > 1:
+        return ValueError
+    missing = stacked_skeleton_by_levels(b, r)
+    h = h_vector(f_vector_by_closure(b.facets), b.dimension + 1)
+    if (missing is None) != all(x == 0 for x in h[r + 1:]):
+        return RuntimeError
+    return missing is None, missing
+
+
+def stacked_outcome(b, r):
+    try:
+        cert = is_r_stacked(b, r)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    return cert.verdict, cert.witness
+
+
+# census balls and spheres, half-facet subcomplexes of them, and seeded
+# random pure, mixed and non-pure complexes
+WALK_CORPUS = (CENSUS + ODD_CENSUS + HALVES + NON_PURE + [Complex.empty()]
+               + random_complexes(31, 150, pure=True) + random_complexes(32, 150, pure=False))
+
+
+def test_face_walk_matches_closure_and_level_references():
+    """f-vectors, skeleta, face tests, neighborliness and stackedness read off
+    the mask walk against the closure oracles, face levels built from facet
+    subsets and a subset scan, with vertex sets two labels above the top."""
+    rng = random.Random(33)
+    seen = set()
+    for c in WALK_CORPUS:
+        closure = closure_faces(c.facets)
+        assert f_vector(c) == f_vector_by_closure(c.facets), c.facets
+        for k in range(-1, c.dimension + 2):
+            assert all_faces(c, k) == {t for t in closure if len(t) <= k + 1}, (c.facets, k)
+        verts = range(1, max(c.vertices, default=0) + 3)
+        for vertex_set in (c.vertices, verts):
+            for i in range(1, c.dimension + 3):
+                cert = is_i_neighborly(c, i, vertex_set)
+                want = neighborly_by_levels(Complex._trusted(c.maximal_faces), i, vertex_set)
+                assert (cert.verdict, cert.witness) == want, (c.facets, i, vertex_set)
+                seen.add(("neighborly", want[0]))
+        if c.is_pure:
+            for r in range(c.dimension + 1):
+                want = stacked_by_levels(Complex._trusted(c.maximal_faces), r)
+                assert stacked_outcome(c, r) == want, (c.facets, r)
+                seen.add(("stacked", want if isinstance(want, type) else want[0]))
+        tests = list(closure) + [tuple(rng.sample(verts, rng.randint(0, len(verts))))
+                                 for _ in range(40)]
+        for t in tests:
+            want = any(set(t) <= set(m) for m in c.maximal_faces)
+            assert (t in c) == want, (c.facets, t)
+            seen.add(("in", want))
+    assert seen == {("neighborly", True), ("neighborly", False), ("stacked", True),
+                    ("stacked", False), ("stacked", ValueError), ("stacked", RuntimeError),
+                    ("in", True), ("in", False)}
 
 
 def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
@@ -349,8 +421,9 @@ def even_balls(k, n):
 
 @pytest.mark.parametrize("k, n", EVEN_GRID)
 def test_sewn_betti_from_the_ambient_match_full_elimination(k, n):
-    """Also: each entry's sphere certificate, the one `sew` composed, is the
-    full `sphere_sanity` of a fresh copy of its sphere."""
+    """Also: each entry's sphere certificate, the one `sew` gives without a
+    check on the result, is the full `sphere_sanity` of a fresh copy of its
+    sphere."""
     delta = cyclic_boundary(2 * k, n)
     for ball, entry in zip(even_balls(k, n), even_census(k, n), strict=True):
         sphere = sew(delta, ball, n + 1)
@@ -364,13 +437,14 @@ def test_sewn_betti_from_the_ambient_match_full_elimination(k, n):
 
 def test_sewn_sphere_record_holds_no_ridge_map_or_face_levels(monkeypatch):
     """Under the link condition neither `sew` nor the sewn sphere's
-    neighborliness check builds the sphere's ridge map or a face level;
-    without it `sew` runs `sphere_sanity`, which builds the ridge map."""
+    neighborliness check builds the sphere's ridge map, and the record has
+    no face levels to build; without it `sew` runs `sphere_sanity`, which
+    builds the ridge map."""
     delta = cyclic_boundary(6, 9)
     for ball in even_balls(3, 9):
         sphere = sew(delta, ball, 10)
         assert is_i_neighborly(sphere, 3, range(1, 11)).verdict is True
-        assert sphere._derived.ridges is None and sphere._derived.faces == {}
+        assert sphere._derived.ridges is None and not hasattr(sphere._derived, "faces")
     monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
     for ball in even_balls(3, 9):
         assert sew(delta, ball, 10)._derived.ridges is not None
@@ -418,7 +492,7 @@ def strongly_connected_by_meets(c):
 def links_connected_by_meets(c):
     """Every face's link, built by `link`, checked by facet meets."""
     return all(strongly_connected_by_meets(link(c, t))
-               for size in range(c.dimension + 2) for t in faces.faces_of_size(c, size))
+               for size in range(c.dimension + 2) for t in faces_of_size(c, size))
 
 
 def test_polytope_boundaries_have_strongly_connected_links():
