@@ -25,7 +25,14 @@ from .faces import (
 )
 from .posets import Antichain, enumerate_antichains, max_slope_element
 from .squeezed import relative_ball
-from .verify import Certificate, ball_sanity, is_i_neighborly, is_r_stacked, sphere_sanity
+from .verify import (
+    Certificate,
+    _shelled_ball,
+    ball_sanity,
+    is_i_neighborly,
+    is_r_stacked,
+    sphere_sanity,
+)
 
 
 @dataclass(frozen=True)
@@ -45,9 +52,14 @@ class CensusEntry:
 def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     """Replace the ball b inside the sphere delta by the cone over its boundary.
 
-    b must be a full-dimensional proper subcomplex of delta, both must pass
-    their sanity checks, and the new vertex must be unused.  A returned
-    sphere passes `sphere_sanity`.
+    b must be a full-dimensional proper subcomplex of delta and a ball,
+    delta must pass `sphere_sanity`, and the new vertex must be unused.  The
+    ball is certified by a shelling (`verify._shelled_ball`): a shelled b is
+    a PL ball whose boundary is a PL sphere (Danaraj and Klee, "Shellings of
+    spheres and polytopes", 1974), and it is contractible (Bjorner,
+    "Topological methods", 1995).  When the shelling certificate fails,
+    `ball_sanity` decides, with its errors and witnesses.  A returned sphere
+    passes `sphere_sanity`.
 
     When every face link of delta is strongly connected, that follows from
     the certified parts, and the result is not checked again.  The link
@@ -64,7 +76,9 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
       facet.  Any other ridge missing the new vertex lies in a facet of A
       and keeps its two facets of delta, both in A, or it would be a
       boundary ridge of b.  A ridge through the new vertex lies in two cone
-      facets, as the boundary of b passed `sphere_sanity` in `ball_sanity`.
+      facets, as the boundary of b is a closed pseudomanifold: a PL sphere
+      when b is shelled, and passing `sphere_sanity` in `ball_sanity`
+      otherwise.
     - A meets b in the boundary of b.  A boundary ridge of b lies in two
       facets of the closed pseudomanifold delta, and the one not in b is in
       A.  A face t of b that lies in a facet of A is joined to a facet of b
@@ -72,7 +86,9 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
       the next.  Some ridge of the chain has one facet in b and one in A, so
       it is a boundary ridge of b, and t lies in it.
     - A meets C in the boundary of b as well, since the new vertex is fresh.
-    - b is mod-2 acyclic by its sanity check, and C is a cone.
+    - b is mod-2 acyclic, as it is contractible when shelled and by its
+      sanity check otherwise, and C is a cone.  Mayer-Vietoris needs
+      nothing more of b.
 
     So the reduced Mayer-Vietoris sequences of delta = A + b and of the
     result = A + C (Hatcher, *Algebraic Topology*, section 2.2) are zero in
@@ -80,13 +96,21 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     boundary of b to that of A, which gives both the same Betti numbers, and
     the result is given delta's.  Those of a sphere make it connected.
     Without the link condition `sphere_sanity` runs on the result itself.
+
+    When delta is a PL sphere, as the boundary of a simplicial polytope is,
+    and b is shelled, the result is a PL sphere too: the closure A of delta
+    less b is a PL ball by Newman's theorem (Rourke and Sanderson,
+    *Introduction to Piecewise-Linear Topology*, section 3), its boundary
+    is that of b, and a PL ball with the cone over its boundary glued on is
+    a PL sphere.  The certificate returned is still `sphere_sanity`'s.
     """
     sphere_cert = sphere_sanity(delta)
     if sphere_cert.verdict is not True:
         raise ValueError(f"ambient complex fails sphere sanity: {sphere_cert.witness}")
-    ball_cert = ball_sanity(b)
-    if ball_cert.verdict is not True:
-        raise ValueError(f"patch fails ball sanity: {ball_cert.witness}")
+    if not _shelled_ball(b):
+        ball_cert = ball_sanity(b)
+        if ball_cert.verdict is not True:
+            raise ValueError(f"patch fails ball sanity: {ball_cert.witness}")
     if not b.maximal_faces <= delta.maximal_faces:
         raise ValueError("patch facets must be facets of the ambient complex")
     if b.maximal_faces == delta.maximal_faces:
@@ -109,7 +133,10 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
     """Build and certify one census entry; the parity picks only the sphere step.
 
     A sphere that `sew` returns passes `sphere_sanity`, so a sewn sphere's
-    sanity certificate is not computed again.
+    sanity certificate is not computed again.  The odd sphere is the
+    boundary of the ball, so a ball that passes the shelling certificate
+    (`verify._shelled_ball`) gives it, and `sphere_sanity` runs only when
+    that certificate fails.
     """
     s = a.to_pair_facets()
     ball = relative_ball(s)
@@ -118,7 +145,8 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
         sanity = Certificate("sphere-homology", True)
     else:
         sphere, degree, top = boundary_complex(ball), k - 1, n
-        sanity = sphere_sanity(sphere)
+        sanity = (Certificate("sphere-homology", True) if _shelled_ball(ball)
+                  else sphere_sanity(sphere))
     certs = (
         is_i_neighborly(ball, k - 1, range(1, n + 1)),
         is_r_stacked(ball, k - 1),

@@ -6,14 +6,21 @@ shelling search may also return None when it runs out of budget, which is
 inconclusive rather than a refutation.  Stackedness is decided two ways at
 once (skeleton comparison and vanishing of the tail of the h-vector) and a
 disagreement raises instead of picking a side.
+
+A shelling step is tested by its restriction face on the facet bitmasks of
+`faces`, in O(d) operations.  The census certifies each ball, and its
+boundary as a sphere, by one shelling (`_shelled_ball`) rather than by the
+homology of `ball_sanity` and `sphere_sanity`, which stay the full checks
+for outside input and run whenever the shelling certificate fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb
-from typing import Any, Iterable, Iterator
+from operator import and_
+from typing import Any, Iterable, Iterator, Sequence
 
 from .faces import (
     Complex,
@@ -21,9 +28,11 @@ from .faces import (
     _holding,
     _walk,
     boundary_complex,
+    f_vector,
     h_vector,
     ridge_facets,
     strongly_connected,
+    vertex_masks,
     z2_reduced_betti,
 )
 from .posets import Antichain
@@ -113,25 +122,55 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     return Certificate(f"stacked({r})", by_skeleton, witness=witness)
 
 
-def _step_ok(new: Face, earlier: list[Face]) -> bool:
-    """Shelling step: the part of `new` meeting earlier facets is pure of codim 1,
-    i.e. every meet lies in a codimension-1 meet: every gap `new - f` holds
-    the missing vertex of some one-vertex gap."""
-    snew = set(new)
-    gaps = [snew - set(f) for f in earlier]
-    ridge_vertices = {v for gap in gaps if len(gap) == 1 for v in gap}
-    return all(gap & ridge_vertices for gap in gaps)
+def _step(masks: Sequence[int], placed: int) -> int | None:
+    """One shelling step: the size of the restriction face R, or None when
+    the step is bad.
+
+    `masks` are the facet masks of the new facet F's vertices and `placed`
+    the mask of the facets placed before it.  R is the set of vertices v
+    such that F - v lies in a placed facet, that is such that the AND of the
+    other vertices' masks meets `placed`; prefix ANDs from the front and
+    one running AND from the back give every such AND in O(d).  The part
+    of F that meets placed facets is pure of codimension 1 exactly when
+    each face of F in a placed facet misses a vertex of R, that is when R
+    itself lies in no placed facet.  An empty R after the first step fails
+    that test, as the empty face lies in every facet.
+    """
+    below = list(accumulate(masks, and_, initial=placed))  # placed & masks[:i]
+    above = -1  # the AND of the masks after the i-th
+    meet = -1  # the AND of R's masks
+    size = 0
+    for i in range(len(masks) - 1, -1, -1):
+        if below[i] & above:
+            meet &= masks[i]
+            size += 1
+        above &= masks[i]
+    return None if meet & placed else size
+
+
+def _restriction_sizes(c: Complex, order: Iterable[Face]) -> Iterator[int | None]:
+    """`_step` of each facet of the order after the facets before it."""
+    masks = vertex_masks(c)
+    bit = dict(zip(c.facets, map((1).__lshift__, range(len(c.facets)))))
+    placed = 0
+    for f in order:
+        yield _step(list(map(masks.__getitem__, f)), placed)
+        placed |= bit[f]
 
 
 def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
-    """Check a proposed shelling order of the facets of a pure complex."""
+    """Check a proposed shelling order of the facets of a pure complex.
+
+    Each step is tested by its restriction face (`_step`); the witness is
+    the order when every step is good, else the index of the first bad one.
+    """
     if c.is_void or not c.is_pure:
         raise ValueError("shellings are defined for pure non-void complexes")
     order = tuple(tuple(sorted(f)) for f in order)
     if sorted(order) != sorted(c.facets):
         raise ValueError("order is not a permutation of the facets")
-    for idx in range(1, len(order)):
-        if not _step_ok(order[idx], list(order[:idx])):
+    for idx, size in enumerate(_restriction_sizes(c, order)):
+        if size is None:
             return Certificate("shellable", False, witness=idx)
     return Certificate("shellable", True, witness=list(order))
 
@@ -139,53 +178,64 @@ def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
 def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
     """Search for a shelling order by depth-first extension.
 
-    Prefixes that use the same facet set succeed or fail together, so dead
-    facet sets are memoized.  Exceeding the node budget yields verdict None;
-    exhausting the search space without success is a genuine refutation.
-    The search keeps its own stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    The facets are tried in sorted order, so the first path of the search
+    places, at each step, the first facet whose step is good; each step is
+    tested on facet bitmasks by `_step`.  Prefixes that use the same facet
+    set succeed or fail together, so dead facet sets are memoized as
+    bitmasks.  Each node of the search counts against the budget, and a
+    successful search has one node per facet at least, with exactly that
+    many only when its first path succeeds.  Exceeding the node budget
+    yields verdict None; exhausting the search space without success is a
+    genuine refutation.  The search keeps its own stack, so its depth is
+    not bounded by the interpreter's recursion limit.
     """
     if c.is_void or not c.is_pure:
         raise ValueError("shellings are defined for pure non-void complexes")
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, got {budget}")
-    facets = sorted(c.facets)
-    total = len(facets)
-    dead: set[frozenset[Face]] = set()
+    facets = c.facets
+    masks = vertex_masks(c)
+    steps = [list(map(masks.__getitem__, f)) for f in facets]
+    every = (1 << len(facets)) - 1
+    dead: set[int] = set()
     nodes = 0
-    prefix: list[Face] = []
+    order: list[int] = []
 
-    def candidates(used: frozenset[Face]) -> Iterator[Face]:
-        # drawn lazily: `prefix` holds the prefix of the node whose candidates
-        # are drawn whenever one is drawn
-        return (f for f in facets if f not in used and (not prefix or _step_ok(f, prefix)))
+    def candidates(placed: int) -> Iterator[int]:
+        rest = every & ~placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if _step(steps[j], placed) is not None:
+                yield j
 
-    # the open nodes, one per facet of the prefix plus the root: the facets
-    # used and the candidates not yet tried
-    stack: list[tuple[frozenset[Face], Iterator[Face]]] = []
-    used: frozenset[Face] = frozenset()
-    while len(prefix) < total:
-        if used in dead:
-            prefix.pop()
+    # the open nodes, one per facet of the order plus the root: the facets
+    # placed and the candidates not yet tried
+    stack: list[tuple[int, Iterator[int]]] = []
+    placed = 0
+    while len(order) < len(facets):
+        if placed in dead:
+            order.pop()
         else:
             nodes += 1
             if nodes > budget:
                 return Certificate("shellable", None, witness=None)
-            stack.append((used, candidates(used)))
+            stack.append((placed, candidates(placed)))
         while stack:
-            used, todo = stack[-1]
-            f = next(todo, None)
-            if f is not None:
-                prefix.append(f)
-                used |= {f}
+            placed, todo = stack[-1]
+            j = next(todo, None)
+            if j is not None:
+                order.append(j)
+                placed |= 1 << j
                 break
-            dead.add(used)
+            dead.add(placed)
             stack.pop()
-            if prefix:
-                prefix.pop()
+            if order:
+                order.pop()
         else:
             return Certificate("shellable", False, witness=None)
-    return Certificate("shellable", True, witness=list(prefix))
+    return Certificate("shellable", True, witness=[facets[j] for j in order])
 
 
 def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
@@ -268,3 +318,29 @@ def ball_sanity(c: Complex) -> Certificate:
     if sub.verdict is not True:
         return Certificate(name, False, witness={"boundary": sub.as_dict()})
     return Certificate(name, True)
+
+
+def _shelled_ball(b: Complex) -> bool:
+    """Is b certified by a shelling to be a PL ball whose boundary is a PL sphere?
+
+    True when every ridge of b lies in at most two facets, the first path
+    of `find_shelling` shells b (the budget is one node per facet), no step
+    has R = F, and the sizes of the restriction faces count out b's
+    h-vector, read from its f-vector.  A shellable pseudomanifold is a PL
+    ball or sphere, and a ball exactly when no step has R = F (Danaraj and
+    Klee, "Shellings of spheres and polytopes", 1974); its boundary is then
+    a PL sphere, and b is contractible (Bjorner, "Topological methods",
+    1995).  So True implies that `ball_sanity(b)` and
+    `sphere_sanity(boundary_complex(b))` pass.  False decides nothing:
+    callers run the full checks then.
+    """
+    if b.is_void or b.is_empty or not b.is_pure:
+        return False
+    if any(len(ms) > 2 for ms in ridge_facets(b).values()):
+        return False
+    found = find_shelling(b, len(b.facets))
+    if found.verdict is not True:
+        return False
+    d = b.dimension + 1
+    sizes = list(_restriction_sizes(b, found.witness))
+    return d not in sizes and tuple(map(sizes.count, range(d + 1))) == h_vector(f_vector(b), d)

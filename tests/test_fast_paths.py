@@ -6,8 +6,11 @@ face sets, face tests, neighborliness and the stackedness skeleton) against
 face levels built from facet subsets and against the closure oracles, the sanity
 certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
-from down-sets, the shelling step test, the shelling search on its own
-stack against a recursive one, intersections by pairwise meets and
+from down-sets, the shelling step on facet bitmasks against gap and meet
+references, `is_shelling` against the gap reference, the shelling search on
+its own stack against a recursive one, the shelling certificate of census
+balls against the full ball and sphere checks, with the eliminations a
+census runs and its fallback to them, intersections by pairwise meets and
 antichain enumeration over comparability masks; every unchecked result
 against the checked constructor; and the derived record staying out of
 equality, hashing, repr and pickles."""
@@ -450,17 +453,22 @@ def test_sewn_sphere_record_holds_no_ridge_map_or_face_levels(monkeypatch):
         assert sew(delta, ball, 10)._derived.ridges is not None
 
 
+def counting_eliminations(monkeypatch, call):
+    """What call() returns, and the number of GF(2) eliminations it ran."""
+    real = faces._gf2_pivots
+    calls = []
+    monkeypatch.setattr(faces, "_gf2_pivots", lambda columns: calls.append(1) or real(columns))
+    out = call()
+    monkeypatch.setattr(faces, "_gf2_pivots", real)
+    return out, len(calls)
+
+
 def sew_counting_eliminations(monkeypatch, delta, ball, new_vertex):
     """The sewn sphere and the number of GF(2) eliminations sewing it ran,
     with the records of delta and the ball filled beforehand."""
     sphere_sanity(delta)
     ball_sanity(ball)
-    real = faces._gf2_pivots
-    calls = []
-    monkeypatch.setattr(faces, "_gf2_pivots", lambda columns: calls.append(1) or real(columns))
-    sphere = sew(delta, ball, new_vertex)
-    monkeypatch.setattr(faces, "_gf2_pivots", real)
-    return sphere, len(calls)
+    return counting_eliminations(monkeypatch, lambda: sew(delta, ball, new_vertex))
 
 
 def test_sew_gives_betti_only_under_the_link_condition(monkeypatch):
@@ -475,6 +483,37 @@ def test_sew_gives_betti_only_under_the_link_condition(monkeypatch):
         assert own_eliminations > 0
         assert again == sphere
         assert z2_reduced_betti(again) == z2_reduced_betti(sphere) == z2_reduced_betti(delta)
+
+
+def test_census_eliminates_only_the_ambient_once(monkeypatch):
+    """While every ball shells, the even census runs the eliminations of its
+    ambient sphere, once, and the odd census runs none."""
+    delta = cyclic_boundary(6, 10)
+    _, ambient = counting_eliminations(
+        monkeypatch, lambda: z2_reduced_betti(Complex._trusted(delta.maximal_faces)))
+    fresh = Complex._trusted(delta.maximal_faces)
+    monkeypatch.setattr(construct, "cyclic_boundary", lambda d, n: fresh)
+    runs = [counting_eliminations(monkeypatch, lambda: collect_census(parity, 3, 10))
+            for parity in ("even", "even", "odd")]
+    assert [len(entries) for entries, _ in runs] == [50, 50, 50]
+    assert [count for _, count in runs] == [ambient, 0, 0]
+    assert ambient > 0
+
+
+def test_census_falls_back_to_the_eliminations_when_the_search_fails(monkeypatch):
+    """With the shelling search failing, `sew`'s patch guard runs the full ball
+    check and the odd entry the full sphere check; entries are unchanged."""
+    for parity in ("even", "odd"):
+        want = collect_census(parity, 3, 9)
+        monkeypatch.setattr(verify, "find_shelling",
+                            lambda c, budget: Certificate("shellable", None))
+        got, count = counting_eliminations(monkeypatch, lambda: collect_census(parity, 3, 9))
+        monkeypatch.undo()
+        assert count >= 2 * len(want)
+        assert [(e.antichain, e.ball, e.sphere) for e in got] == [
+            (e.antichain, e.ball, e.sphere) for e in want]
+        assert [[c.as_dict() for c in e.certificates] for e in got] == [
+            [c.as_dict() for c in e.certificates] for e in want]
 
 
 def strongly_connected_by_meets(c):
@@ -791,6 +830,27 @@ def test_restrict_matches_ideal_scan():
         assert outcome(restrict, s.to_grid(), (1, 2)) is ValueError
 
 
+def gap_step_ok(new, earlier):
+    """Shelling step by gaps: the part of `new` meeting earlier facets is pure
+    of codim 1, i.e. every meet lies in a codimension-1 meet: every gap
+    `new - f` holds the missing vertex of some one-vertex gap."""
+    snew = set(new)
+    gaps = [snew - set(f) for f in earlier]
+    ridge_vertices = {v for gap in gaps if len(gap) == 1 for v in gap}
+    return all(gap & ridge_vertices for gap in gaps)
+
+
+def mask_step_ok(new, earlier):
+    """`verify._step` on the facet masks of the list earlier + [new], with
+    the earlier facets placed."""
+    masks = dict.fromkeys(new, 1 << len(earlier))
+    for j, f in enumerate(earlier):
+        for v in f:
+            if v in masks:
+                masks[v] |= 1 << j
+    return verify._step([masks[v] for v in new], (1 << len(earlier)) - 1) is not None
+
+
 def meets_step_ok(new, earlier):
     """Shelling step by building every meet and keeping the maximal ones."""
     want = len(new) - 1
@@ -826,7 +886,7 @@ def test_step_ok_matches_maximal_meets():
             rest = rng.sample([v for v in range(1, n + 1) if v not in keep], d - len(keep))
             earlier.append(tuple(sorted(keep + rest)))
         want = meets_step_ok(new, earlier)
-        assert verify._step_ok(new, earlier) == want, (new, earlier)
+        assert mask_step_ok(new, earlier) == gap_step_ok(new, earlier) == want, (new, earlier)
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -842,9 +902,9 @@ def test_intersect_matches_common_faces():
         assert intersect(a, b) == common_faces_intersect(a, b), (a.maximal_faces, b.maximal_faces)
 
 
-def recursive_find_shelling(c, budget):
+def recursive_find_shelling(c, budget, step_ok=gap_step_ok):
     """Depth-first search by recursion, with the same facet order, node
-    budget and dead-set memo as `find_shelling`."""
+    budget and dead-set memo as `find_shelling`, testing steps by `step_ok`."""
     facets = sorted(c.facets)
     dead = set()
     nodes = 0
@@ -862,7 +922,7 @@ def recursive_find_shelling(c, budget):
         if nodes > budget:
             raise Budget
         for f in facets:
-            if f in used or (prefix and not verify._step_ok(f, prefix)):
+            if f in used or (prefix and not step_ok(f, prefix)):
                 continue
             prefix.append(f)
             if extend(used | {f}, prefix):
@@ -893,13 +953,93 @@ def test_find_shelling_deeper_than_the_recursion_limit():
     assert is_shelling(path, cert.witness).verdict is True
 
 
-def test_find_shelling_same_with_maximal_meet_step(monkeypatch):
+def test_find_shelling_same_with_maximal_meet_step():
     cases = [(c, budget) for c in CENSUS_BALLS + PURE for budget in (10, 1_000_000)]
     fast = [find_shelling(c, budget) for c, budget in cases]
-    monkeypatch.setattr(verify, "_step_ok", meets_step_ok)
-    slow = [find_shelling(c, budget) for c, budget in cases]
-    assert fast == slow
+    assert fast == [recursive_find_shelling(c, budget, meets_step_ok) for c, budget in cases]
     assert {c.verdict for c in fast} == {True, False, None}
+
+
+def gap_is_shelling(c, order):
+    """`is_shelling` of an order of c's facets, each step tested by gaps."""
+    for idx in range(1, len(order)):
+        if not gap_step_ok(order[idx], order[:idx]):
+            return Certificate("shellable", False, witness=idx)
+    return Certificate("shellable", True, witness=list(order))
+
+
+def test_is_shelling_matches_gap_reference():
+    """On the sorted order and the order found of each census ball, and on
+    orders made from them by random swaps."""
+    rng = random.Random(16)
+    balls = (CENSUS_BALLS + [e.ball for e in odd_census(3, 9)]
+             + [e.ball for e in even_census(4, 10)])
+    verdicts = set()
+    for c in balls:
+        for order in (list(c.facets), find_shelling(c).witness):
+            for _ in range(8):
+                got = is_shelling(c, order)
+                assert got == gap_is_shelling(c, order), (c.facets, order)
+                verdicts.add(got.verdict)
+                i, j = rng.sample(range(len(order)), 2)
+                order = order[:]
+                order[i], order[j] = order[j], order[i]
+    assert verdicts == {True, False}
+
+
+def slow_restriction(f, earlier):
+    """The vertices v of f such that f - v lies in an earlier facet, by sets."""
+    return {v for v in f if any(set(f) - {v} <= set(g) for g in earlier)}
+
+
+# every relative ball of the even and odd censuses up to these sizes; both
+# parities build the same ball from an antichain
+BALL_GRID = ([(2, n) for n in range(4, 11)] + [(3, n) for n in range(6, 12)]
+             + [(4, n) for n in range(8, 12)])
+
+
+@pytest.mark.parametrize("k, n", BALL_GRID)
+def test_shelled_ball_matches_the_full_checks(k, n):
+    """The composed verdicts of `sew`'s patch guard and of the odd entry's
+    sphere certificate equal the full checks on fresh copies, and the sizes
+    of the restriction faces count out the h-vector of the closure."""
+    for a in enumerate_antichains(k, n, must_contain=max_slope_element(k, n)):
+        b = relative_ball(a.to_pair_facets())
+        fresh = Complex._trusted(b.maximal_faces)
+        assert verify._shelled_ball(b) is True, b.facets
+        assert ball_sanity(fresh).verdict is True, b.facets
+        entry = construct._entry("odd", k, n, a)
+        assert entry.certificates[-1] == sphere_sanity(boundary_complex(fresh))
+        order = find_shelling(b, len(b.facets)).witness
+        sizes = [len(slow_restriction(f, order[:j])) for j, f in enumerate(order)]
+        d = len(order[0])
+        assert tuple(map(sizes.count, range(d + 1))) == h_vector(
+            f_vector_by_closure(b.facets), d)
+
+
+NON_BALLS = [Complex.from_facets(fs) for fs in [
+    [(1, 2, 3), (1, 4, 5)],  # two triangles on one vertex
+    [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)] + [(1, 2, 6), (2, 3, 6), (3, 4, 6), (1, 4, 6)],
+    [(1, 2, 3), (1, 2, 4), (1, 2, 5)],  # three triangles on an edge
+    [(1,), (2,)],  # a 0-sphere: shellable, with R = F at its last step
+    [(1, 2), (2, 3), (3, 1)],
+    TORUS, RP2, TETRA_BOUNDARY,
+]]
+
+
+def test_shelled_ball_passes_only_balls():
+    """A complex the certificate passes passes the full ball check, and its
+    boundary the sphere check; complexes that are no balls are refused."""
+    for c in NON_BALLS:
+        assert not verify._shelled_ball(c), c.facets
+    passed = 0
+    for c in PURE + CENSUS + ODD_CENSUS + CYCLIC + POINTS + NON_BALLS:
+        if verify._shelled_ball(c):
+            passed += 1
+            assert ball_sanity(c).verdict is True, c.facets
+            assert sphere_sanity(boundary_complex(c)).verdict is True, c.facets
+    assert passed > len(CENSUS_BALLS)
+    assert not verify._shelled_ball(Complex.empty())
 
 
 def scan_enumerate_antichains(k, n, must_contain=None):

@@ -4,7 +4,6 @@ import pytest
 
 from neighborly.cyclic import cyclic_boundary
 from neighborly.faces import (
-    Complex,
     f_vector,
     h_vector,
     intersect,
