@@ -9,14 +9,14 @@ and all operations are pure functions.
 
 What is derived from a complex's facets (its dimension, purity and
 vertices, the facets in sorted order, each vertex's bitmask of the sorted
-facets holding it, the ridge incidence, the boundary, the Betti numbers
-and whether every face link is strongly connected) is computed at most
-once per complex and kept in a private record attached to it.  The record
-is a cache: it takes no part in equality, hashing, repr or pickling.  One
-entry is not computed here: `construct.sew` gives a sewn sphere's record
-the Betti numbers of the ambient sphere, which Mayer-Vietoris proves
-equal, and proves the sewn sphere a closed pseudomanifold from its parts
-without building its ridge map (see `sew`).
+facets holding it, the f-vector, the ridge incidence, the boundary, the
+Betti numbers and whether every face link is strongly connected) is
+computed at most once per complex and kept in a private record attached to
+it.  The record is a cache: it takes no part in equality, hashing, repr or
+pickling.  One entry is not computed here: `construct.sew` gives a sewn
+sphere's record the Betti numbers of the ambient sphere, which
+Mayer-Vietoris proves equal, and proves the sewn sphere a closed
+pseudomanifold from its parts without reading its ridges (see `sew`).
 
 One rule answers every face question: a set of vertices is a face exactly
 when the AND of its vertices' facet masks is not zero, and that AND is
@@ -27,10 +27,10 @@ vertex that keeps the AND non-zero.  The f-vector counts the walk's
 levels, `all_faces` lists them, and `verify` reads its neighborliness and
 stackedness certificates off them.
 
-One breadth-first search over the facets holding a face t, across the
-ridges holding t, decides strong connectivity: of the complex itself with t
-the empty face (`strongly_connected`), and of every face link
-(`links_strongly_connected`).
+`_ridge_holders` holds the mask of the facets holding each ridge F - v of
+each facet F.  The ridge map, the boundary and the shelling steps of
+`verify` read it, and a flood across it decides strong connectivity: over
+all facets for the complex, over those holding each face for its link.
 
 The mod-2 homology eliminates over the chain complex relative to the star
 of the vertex in the most facets, whose cells are only the faces outside
@@ -51,11 +51,11 @@ constructor `Complex._trusted`.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, filterfalse, repeat
+from functools import cached_property, reduce
+from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
 from math import comb
+from operator import and_, or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -98,8 +98,8 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
 class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
-    __slots__ = ("dimension", "pure", "vertices", "facets", "masks", "ridges", "boundary",
-                 "betti", "links_connected")
+    __slots__ = ("dimension", "pure", "vertices", "facets", "masks", "f_vector", "holders",
+                 "ridges", "boundary", "betti", "links_connected")
 
     def __init__(self) -> None:
         self.dimension: int | None = None
@@ -108,6 +108,8 @@ class _Derived:
         self.facets: tuple[Face, ...] | None = None  # sorted
         # vertex -> bitmask of the sorted facets holding it
         self.masks: Mapping[int, int] | None = None  # read-only
+        self.f_vector: FVector | None = None
+        self.holders: tuple[tuple[int, ...], ...] | None = None  # see _ridge_holders
         self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
         self.boundary: Complex | None = None
         self.betti: tuple[int, ...] | None = None
@@ -364,7 +366,10 @@ def f_vector(c: Complex) -> FVector:
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} = 1 always."""
     if c.is_void:
         raise ValueError("void has no faces")
-    return tuple(map(len, _walk(c)))
+    record = c._derived
+    if record.f_vector is None:
+        record.f_vector = tuple(map(len, _walk(c)))
+    return record.f_vector
 
 
 def h_vector(f: FVector, d: int) -> HVector:
@@ -380,24 +385,46 @@ def h_vector(f: FVector, d: int) -> HVector:
         for j in range(d + 1))
 
 
+def _ridge_holders(c: Complex) -> tuple[tuple[int, ...], ...]:
+    """For each facet F in sorted order and each vertex v of F in order, the
+    bitmask of the facets holding the ridge F - v: the AND of the masks of
+    the vertices before v and after it.  Built once per complex."""
+    if c.is_void:
+        raise ValueError("void has no faces")
+    record = c._derived
+    if record.holders is None:
+        if not c.is_pure:
+            raise ValueError("ridge counting requires a pure complex")
+        if c.dimension < 0:
+            raise ValueError("no ridges in the empty complex")
+        masks = vertex_masks(c)
+        # not -1: in dimension 0 the ridge () lies in every facet and no other
+        every = (1 << len(c.facets)) - 1
+        table = []
+        for f in c.facets:
+            own = list(map(masks.__getitem__, f))
+            after = list(accumulate(reversed(own), and_, initial=every))[-2::-1]  # after the i-th
+            table.append(tuple(map(and_, accumulate(own, and_, initial=every), after)))
+        record.holders = tuple(table)
+    return record.holders
+
+
 def ridge_facets(c: Complex) -> Mapping[Face, tuple[Face, ...]]:
     """Map each ridge (codimension-1 face) to the facets containing it.
 
     Ridges appear in the order their first facet comes in sorted facet order,
-    and each ridge's facets in sorted order.  The map is read-only; once
-    built it is returned without checking the complex again.
+    leaving out its vertices last to first as `combinations` does, and each
+    ridge's facets in sorted order.  The map is read-only; once built it is
+    returned without checking the complex again.
     """
-    if c.is_void:
-        raise ValueError("void has no faces")
+    holders = _ridge_holders(c)
     record = c._derived
     if record.ridges is None:
-        if not c.is_pure:
-            raise ValueError("ridge counting requires a pure complex")
-        d = c.dimension
-        if d < 0:
-            raise ValueError("no ridges in the empty complex")
-        record.ridges = MappingProxyType(
-            {r: tuple(ms) for r, ms in _facets_holding(c.facets, d).items()})
+        facets = c.facets
+        record.ridges = MappingProxyType({
+            f[:i] + f[i + 1:]: tuple(facets[k] for k in range(j, h.bit_length()) if h >> k & 1)
+            for j, (f, held) in enumerate(zip(facets, holders))
+            for i in range(len(f) - 1, -1, -1) if (h := held[i]) & -h == 1 << j})
     return record.ridges
 
 
@@ -409,21 +436,22 @@ def boundary_complex(b: Complex) -> Complex:
     there are none (a closed pseudomanifold) and raises when a ridge lies
     in three or more facets.
     """
-    incidence = ridge_facets(b)
+    holders = _ridge_holders(b)
     record = b._derived
     if record.boundary is None:
-        for r, ms in incidence.items():
-            if len(ms) > 2:
-                raise ValueError("not a pseudomanifold")
-        bd = frozenset(r for r, ms in incidence.items() if len(ms) == 1)
+        if any(h.bit_count() > 2 for held in holders for h in held):
+            raise ValueError("not a pseudomanifold")
+        bd = frozenset(f[:i] + f[i + 1:] for j, (f, held) in enumerate(zip(b.facets, holders))
+                       for i, h in enumerate(held) if h == 1 << j)
         record.boundary = Complex._trusted(bd) if bd else Complex.empty()
     return record.boundary
 
 
 def strongly_connected(c: Complex) -> bool:
     """Are the facets of the pure complex c one class under sharing a ridge?
-    That is the star of the empty face; raises as `ridge_facets` does."""
-    return _star_connected((), c.facets, _across(c))
+    Void has no facets; otherwise raises as `ridge_facets` does."""
+    every = (1 << len(c.facets)) - 1
+    return _connected(_ridge_holders(c), every)
 
 
 def links_strongly_connected(c: Complex) -> bool:
@@ -431,53 +459,31 @@ def links_strongly_connected(c: Complex) -> bool:
 
     The facets of the link of a face t are the facets of c that hold t, less
     t, and two of them share a ridge of the link exactly when their facets
-    share a ridge of c that holds t.  So each link is searched breadth-first
-    over the facets holding its face, stepping from a facet F across the
-    ridges F - {v} with v outside t, read off the ridge map.  The links of
-    ridges and facets are sets of points or the empty complex, which are
-    strongly connected; the smaller faces are searched one size at a time,
-    so only one level's facet lists are held at once.  A complex without
-    ridges raises as in `ridge_facets`.
+    share a ridge of c, which then holds t.  So each face's link is flooded
+    over the facets holding it, as the walk gives them, below the ridges:
+    the links of ridges and facets are sets of points or the empty complex,
+    which are strongly connected.  Raises as `ridge_facets` does.
     """
+    holders = _ridge_holders(c)
     record = c._derived
     if record.links_connected is None:
-        across = _across(c)
+        every = (1 << len(holders)) - 1  # the walk gives the empty face -1
         record.links_connected = all(
-            _star_connected(t, holding, across)
-            for size in range(c.dimension)
-            for t, holding in _facets_holding(c.facets, size).items())
+            _connected(holders, meet & every)
+            for level in islice(_walk(c), c.dimension) for meet, _, _ in level)
     return record.links_connected
 
 
-def _across(c: Complex) -> dict[Face, list[tuple[int, Face]]]:
-    """across[F] = (v, G) for each other facet G on the ridge F - {v}."""
-    incidence = ridge_facets(c)
-    # the ridges of F in combinations order leave out its vertices last to first
-    return {f: [(v, g) for v, r in zip(reversed(f), combinations(f, len(f) - 1))
-                for g in incidence[r] if g != f]
-            for f in c.facets}
-
-
-def _facets_holding(facets: Iterable[Face], size: int) -> dict[Face, list[Face]]:
-    """Each face of the given size, with the facets that hold it."""
-    out: dict[Face, list[Face]] = {}
-    for f in facets:
-        for t in combinations(f, size):
-            out.setdefault(t, []).append(f)
-    return out
-
-
-def _star_connected(t: Face, holding: Sequence[Face],
-                    across: dict[Face, list[tuple[int, Face]]]) -> bool:
-    """Do the facets holding t form one class under sharing a ridge that holds t?"""
-    seen = {holding[0]}
-    queue = [holding[0]]
-    for f in queue:
-        for v, g in across[f]:
-            if v not in t and g not in seen:
-                seen.add(g)
-                queue.append(g)
-    return len(seen) == len(holding)
+def _connected(holders: Sequence[Sequence[int]], within: int) -> bool:
+    """Do the facets in the non-zero mask `within` form one class under
+    sharing a ridge?  A flood from the lowest, across the ridge holders."""
+    seen = todo = within & -within
+    while todo:
+        low = todo & -todo
+        new = reduce(or_, holders[low.bit_length() - 1]) & within & ~seen
+        seen |= new
+        todo ^= low | new
+    return seen == within
 
 
 def _gf2_pivots(columns: Iterable[int]) -> set[int]:
@@ -524,8 +530,8 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
         record.betti = (1,)  # the empty complex: the empty face is a cycle
         return record.betti
     facets = c.facets
-    load = Counter(chain.from_iterable(facets))
-    v = min(load, key=lambda u: (-load[u], u))
+    masks = vertex_masks(c)
+    v = min(c.vertices, key=lambda u: -masks[u].bit_count())
     outside = [f for f in facets if v not in f]
     links = [tuple(filter(v.__ne__, f)) for f in facets if v in f]
     # cells[s] = faces of size s outside the star; any fixed order is

@@ -7,8 +7,8 @@ inconclusive rather than a refutation.  Stackedness is decided two ways at
 once (skeleton comparison and vanishing of the tail of the h-vector) and a
 disagreement raises instead of picking a side.
 
-A shelling step is tested by its restriction face on the facet bitmasks of
-`faces`, in O(d) operations.  The census certifies each ball, and its
+A shelling step is tested by its restriction face on the facet and ridge
+masks of `faces`, in O(d) operations.  The census certifies each ball, and its
 boundary as a sphere, by one shelling (`_shelled_ball`) rather than by the
 homology of `ball_sanity` and `sphere_sanity`, which stay the full checks
 for outside input and run whenever the shelling certificate fails.
@@ -17,15 +17,15 @@ for outside input and run whenever the shelling certificate fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from math import comb
-from operator import and_
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from .faces import (
     Complex,
     Face,
     _holding,
+    _ridge_holders,
     _walk,
     boundary_complex,
     f_vector,
@@ -90,11 +90,11 @@ def is_i_neighborly(c: Complex, i: int, vertex_set: Iterable[int]) -> Certificat
 def is_r_stacked(b: Complex, r: int) -> Certificate:
     """Is every face of dimension at most dim-r-1 a boundary face of the ball b?
 
-    One walk over the faces of b, with the boundary as the second complex,
-    decides it two ways: the levels up to size dim-r hold no face whose AND
-    of boundary masks is zero, and, from the level sizes, h_i = 0 for
-    i > r; the two must agree.  The witness, sought only on failure, is
-    the least face of the smallest size that is not a boundary face.
+    It is decided two ways: a walk over the faces of b up to size dim-r,
+    with the boundary as the second complex, finds no face whose AND of
+    boundary masks is zero, and, from the f-vector, h_i = 0 for i > r; the
+    two must agree.  The witness, sought only on failure, is the least face
+    of the smallest size that is not a boundary face.
     """
     if b.is_void or not b.is_pure:
         raise ValueError("stackedness requires a pure non-void complex")
@@ -105,14 +105,10 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     if bd.is_empty and len(b.maximal_faces) > 1:
         raise ValueError("closed complex")
     dim = b.dimension
-    f: list[int] = []
-    missing = None  # the smallest size of a face of b that is not a face of bd
-    for size, level in enumerate(_walk(b, bd)):
-        f.append(len(level))
-        if missing is None and size <= dim - r and not all(rest for _, rest, _ in level):
-            missing = size
+    missing = next((size for size, level in enumerate(islice(_walk(b, bd), max(dim - r + 1, 0)))
+                    if not all(rest for _, rest, _ in level)), None)
     by_skeleton = missing is None
-    h = h_vector(tuple(f), dim + 1)
+    h = h_vector(f_vector(b), dim + 1)
     by_h = all(x == 0 for x in h[r + 1:])
     if by_skeleton != by_h:
         raise RuntimeError(
@@ -122,40 +118,44 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     return Certificate(f"stacked({r})", by_skeleton, witness=witness)
 
 
-def _step(masks: Sequence[int], placed: int) -> int | None:
+def _step(pairs: Iterable[tuple[int, int]], placed: int) -> int | None:
     """One shelling step: the size of the restriction face R, or None when
     the step is bad.
 
-    `masks` are the facet masks of the new facet F's vertices and `placed`
-    the mask of the facets placed before it.  R is the set of vertices v
-    such that F - v lies in a placed facet, that is such that the AND of the
-    other vertices' masks meets `placed`; prefix ANDs from the front and
-    one running AND from the back give every such AND in O(d).  The part
-    of F that meets placed facets is pure of codimension 1 exactly when
-    each face of F in a placed facet misses a vertex of R, that is when R
-    itself lies in no placed facet.  An empty R after the first step fails
-    that test, as the empty face lies in every facet.
+    `pairs` holds each vertex v of the new facet F as its facet mask and the
+    mask of the facets holding F - v (`faces._ridge_holders`); `placed` is
+    the mask of the facets placed before F.  R is the set of vertices v such
+    that F - v lies in a placed facet.  The part of F that meets placed
+    facets is pure of codimension 1 exactly when each face of F in a placed
+    facet misses a vertex of R, that is when R itself lies in no placed
+    facet.  An empty R after the first step fails that test, as the empty
+    face lies in every facet.
     """
-    below = list(accumulate(masks, and_, initial=placed))  # placed & masks[:i]
-    above = -1  # the AND of the masks after the i-th
     meet = -1  # the AND of R's masks
     size = 0
-    for i in range(len(masks) - 1, -1, -1):
-        if below[i] & above:
-            meet &= masks[i]
+    for mask, holder in pairs:
+        if holder & placed:
+            meet &= mask
             size += 1
-        above &= masks[i]
     return None if meet & placed else size
+
+
+def _step_pairs(c: Complex) -> list[list[tuple[int, int]]]:
+    """The `_step` pairs of each facet of c in sorted order."""
+    masks = vertex_masks(c)
+    # the one facet of the empty complex has no vertices, and so no ridges
+    holders = _ridge_holders(c) if c.dimension >= 0 else [()]
+    return [list(zip(map(masks.__getitem__, f), held)) for f, held in zip(c.facets, holders)]
 
 
 def _restriction_sizes(c: Complex, order: Iterable[Face]) -> Iterator[int | None]:
     """`_step` of each facet of the order after the facets before it."""
-    masks = vertex_masks(c)
-    bit = dict(zip(c.facets, map((1).__lshift__, range(len(c.facets)))))
+    steps = dict(zip(c.facets, enumerate(_step_pairs(c))))
     placed = 0
     for f in order:
-        yield _step(list(map(masks.__getitem__, f)), placed)
-        placed |= bit[f]
+        j, pairs = steps[f]
+        yield _step(pairs, placed)
+        placed |= 1 << j
 
 
 def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
@@ -194,8 +194,7 @@ def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, got {budget}")
     facets = c.facets
-    masks = vertex_masks(c)
-    steps = [list(map(masks.__getitem__, f)) for f in facets]
+    steps = _step_pairs(c)
     every = (1 << len(facets)) - 1
     dead: set[int] = set()
     nodes = 0
@@ -334,9 +333,8 @@ def _shelled_ball(b: Complex) -> bool:
     `sphere_sanity(boundary_complex(b))` pass.  False decides nothing:
     callers run the full checks then.
     """
-    if b.is_void or b.is_empty or not b.is_pure:
-        return False
-    if any(len(ms) > 2 for ms in ridge_facets(b).values()):
+    if (b.is_void or b.is_empty or not b.is_pure
+            or any(h.bit_count() > 2 for held in _ridge_holders(b) for h in held)):
         return False
     found = find_shelling(b, len(b.facets))
     if found.verdict is not True:

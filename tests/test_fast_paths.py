@@ -1,16 +1,18 @@
 """Fast paths against slow references: the clearing GF(2) kernel relative to a
 star, the Betti numbers and the sphere certificate `sew` gives a sewn sphere
 from its parts, the face-link check that licenses them and the strong
-connectivity that shares its search, the ridge map, the face walk (f-vectors,
-face sets, face tests, neighborliness and the stackedness skeleton) against
-face levels built from facet subsets and against the closure oracles, the sanity
-certificates against one walk per condition, the maximal-face rule, order
-ideals (whole or from a minimum label), restrictions and pair facets built
-from down-sets, the shelling step on facet bitmasks against gap and meet
-references, `is_shelling` against the gap reference, the shelling search on
-its own stack against a recursive one, the shelling certificate of census
-balls against the full ball and sphere checks, with the eliminations a
-census runs and its fallback to them, intersections by pairwise meets and
+connectivity that shares its flood, the ridge-holder table and the ridge
+map (with its order), boundary and errors read off it, the face walk
+(f-vectors, face sets, face tests, neighborliness and the stackedness
+skeleton) against face levels built from facet subsets and against the
+closure oracles, the sanity certificates against one walk per condition,
+the maximal-face rule, order ideals (whole or from a minimum label),
+restrictions and pair facets built from down-sets, the shelling step on
+facet bitmasks against gap and meet references, `is_shelling` against the
+gap reference, the shelling search on its own stack against a recursive
+one, the shelling certificate of census balls against the full ball and
+sphere checks, with the eliminations a census runs, its fallback to them
+and the ridge maps it never builds, intersections by pairwise meets and
 antichain enumeration over comparability masks; every unchecked result
 against the checked constructor; and the derived record staying out of
 equality, hashing, repr and pickles."""
@@ -453,6 +455,19 @@ def test_sewn_sphere_record_holds_no_ridge_map_or_face_levels(monkeypatch):
         assert sew(delta, ball, 10)._derived.ridges is not None
 
 
+def test_census_builds_no_ridge_map_of_a_ball():
+    """The census's checks of a ball (the patch guard and sewing, stackedness
+    and the shelling certificate) read the ridge holders, never the
+    face-keyed ridge map."""
+    delta = cyclic_boundary(6, 9)
+    for ball in even_balls(3, 9):
+        sew(delta, ball, 10)
+        assert is_r_stacked(ball, 2).verdict is True
+        assert verify._shelled_ball(ball) is True
+        assert ball._derived.ridges is None and ball._derived.holders is not None
+        assert boundary_complex(ball)._derived.ridges is None
+
+
 def counting_eliminations(monkeypatch, call):
     """What call() returns, and the number of GF(2) eliminations it ran."""
     real = faces._gf2_pivots
@@ -574,6 +589,65 @@ def test_link_check_matches_links_checked_by_meets():
         assert strongly_connected(c) == whole, c.facets
         verdicts.add((want, whole))
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def ridge_map_by_combinations(facets, size):
+    """Each face of the given size, with the facets that hold it, in order of
+    first appearance over the facets."""
+    out = {}
+    for f in facets:
+        for t in combinations(f, size):
+            out.setdefault(t, []).append(f)
+    return out
+
+
+def scan_holding(c, t):
+    """The mask of the sorted facets of c that hold t, by a scan of the facets."""
+    return sum(1 << j for j, f in enumerate(c.facets) if set(t) <= set(f))
+
+
+ONE_FACET = [Complex.from_facets([f]) for f in [(1,), (4,), (1, 2), (2, 5, 7), (1, 3, 4, 8)]]
+RIDGE_CORPUS = (PURE + CENSUS + CYCLIC + POINTS + PINCHED_COMPLEXES + ONE_FACET
+                + [Complex(frozenset(THREE_ON_A_RIDGE)), Complex(frozenset(ANNULUS))])
+
+
+def test_ridge_holders_match_combinations_and_a_facet_scan():
+    """Everything read off the ridge-holder table, on fresh copies: the ridge
+    map in its order, each holder, the boundary and both connectivity
+    checks."""
+    outcomes = set()
+    for c in RIDGE_CORPUS:
+        c = Complex._trusted(c.maximal_faces)
+        want = {r: tuple(ms) for r, ms in ridge_map_by_combinations(c.facets, c.dimension).items()}
+        assert list(ridge_facets(c).items()) == list(want.items()), c.facets
+        for r, ms in want.items():
+            assert ms == tuple(f for f in c.facets if set(r) <= set(f)), (c.facets, r)
+        assert faces._ridge_holders(c) == tuple(
+            tuple(scan_holding(c, f[:i] + f[i + 1:]) for i in range(len(f))) for f in c.facets)
+        if any(len(ms) > 2 for ms in want.values()):
+            with pytest.raises(ValueError, match="^not a pseudomanifold$"):
+                boundary_complex(c)
+            outcomes.add("not a pseudomanifold")
+        else:
+            bd = frozenset(r for r, ms in want.items() if len(ms) == 1)
+            assert boundary_complex(c) == (Complex(bd) if bd else Complex.empty()), c.facets
+            outcomes.add("closed" if not bd else "boundary")
+        whole, links = strongly_connected_by_meets(c), links_connected_by_meets(c)
+        assert (strongly_connected(c), links_strongly_connected(c)) == (whole, links), c.facets
+        outcomes.add((whole, links))
+    assert outcomes == {"not a pseudomanifold", "closed", "boundary",
+                        (True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("check", [ridge_facets, faces._ridge_holders, boundary_complex,
+                                   strongly_connected, links_strongly_connected])
+def test_ridge_layer_refuses_void_empty_and_non_pure(check):
+    void = "void complex has no facets" if check is strongly_connected else "void has no faces"
+    for c, message in [(Complex.void(), void),
+                       (Complex.empty(), "no ridges in the empty complex")] + [
+                          (c, "ridge counting requires a pure complex") for c in NON_PURE[:10]]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(Complex._trusted(c.maximal_faces))
 
 
 def connected_by_second_walk(c):
@@ -841,14 +915,14 @@ def gap_step_ok(new, earlier):
 
 
 def mask_step_ok(new, earlier):
-    """`verify._step` on the facet masks of the list earlier + [new], with
-    the earlier facets placed."""
-    masks = dict.fromkeys(new, 1 << len(earlier))
-    for j, f in enumerate(earlier):
-        for v in f:
-            if v in masks:
-                masks[v] |= 1 << j
-    return verify._step([masks[v] for v in new], (1 << len(earlier)) - 1) is not None
+    """`verify._step` on the facet masks and ridge holders of the list
+    earlier + [new], with the earlier facets placed; the holder of new - v
+    is found by a scan of the facets."""
+    facets = earlier + [new]
+    pairs = [(sum(1 << j for j, f in enumerate(facets) if v in f),
+              sum(1 << j for j, f in enumerate(facets) if set(new) - {v} <= set(f)))
+             for v in new]
+    return verify._step(pairs, (1 << len(earlier)) - 1) is not None
 
 
 def meets_step_ok(new, earlier):
