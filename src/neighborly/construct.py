@@ -16,13 +16,7 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
-from .faces import (
-    Complex,
-    boundary_complex,
-    join,
-    links_strongly_connected,
-    z2_reduced_betti,
-)
+from .faces import Complex, boundary_complex, join, links_strongly_connected
 from .posets import Antichain, enumerate_antichains, max_slope_element
 from .squeezed import relative_ball
 from .verify import (
@@ -93,8 +87,8 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     So the reduced Mayer-Vietoris sequences of delta = A + b and of the
     result = A + C (Hatcher, *Algebraic Topology*, section 2.2) are zero in
     the b and C terms and hold the same map from the homology of the
-    boundary of b to that of A, which gives both the same Betti numbers, and
-    the result is given delta's.  Those of a sphere make it connected.
+    boundary of b to that of A, which gives both the same Betti numbers.
+    Those of a sphere make it connected.
     Without the link condition `sphere_sanity` runs on the result itself.
 
     When delta is a PL sphere, as the boundary of a simplicial polytope is,
@@ -121,7 +115,6 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     # one facet size, canonical tuples: no need to check them again
     result = Complex._trusted((delta.maximal_faces - b.maximal_faces) | cone.maximal_faces)
     if links_strongly_connected(delta):
-        result._derived.betti = z2_reduced_betti(delta)
         return result
     post = sphere_sanity(result)
     if post.verdict is not True:
@@ -137,6 +130,28 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
     boundary of the ball, so a ball that passes the shelling certificate
     (`verify._shelled_ball`) gives it, and `sphere_sanity` runs only when
     that certificate fails.
+
+    The sphere's neighborliness follows from the ball's two certificates,
+    and the full `is_i_neighborly` on the sphere runs only when one of them
+    fails.  The ball B is (k-1)-neighborly on [n], and (k-1)-stacked: every
+    face of B with at most k vertices lies in its boundary.
+
+    - Odd: the sphere is the boundary of B.  Every (k-1)-subset of [n] is a
+      face of B, by neighborliness.  It has at most k vertices, so it lies
+      in the boundary.
+    - Even: let A be the complex of the facets of the ambient sphere
+      delta = `cyclic_boundary(2k, n)` outside B, so the sphere is A plus
+      the cone over the boundary of B from n+1.  `census` has checked that
+      delta is k-neighborly on [n], and `sew` that delta is a closed
+      pseudomanifold and that B lies in it.
+      - The boundary of B lies in A.  Each boundary ridge of B lies in two
+        facets of delta, and one of them is outside B.
+      - A k-subset t of [n] is a face of delta.  If t is in B, stackedness
+        puts it in the boundary of B, which lies in A.  If not, it lies in
+        a facet of delta outside B, which is in A.
+      - A set t + {n+1} with |t| = k-1: t is a face of B by
+        neighborliness, so t lies in the boundary of B, and t + {n+1} is a
+        cone face.
     """
     s = a.to_pair_facets()
     ball = relative_ball(s)
@@ -147,12 +162,11 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
         sphere, degree, top = boundary_complex(ball), k - 1, n
         sanity = (Certificate("sphere-homology", True) if _shelled_ball(ball)
                   else sphere_sanity(sphere))
-    certs = (
-        is_i_neighborly(ball, k - 1, range(1, n + 1)),
-        is_r_stacked(ball, k - 1),
-        is_i_neighborly(sphere, degree, range(1, top + 1)),
-        sanity,
-    )
+    ball_certs = (is_i_neighborly(ball, k - 1, range(1, n + 1)), is_r_stacked(ball, k - 1))
+    neighborly = (Certificate(f"neighborly({degree})", True)
+                  if all(c.verdict is True for c in ball_certs)
+                  else is_i_neighborly(sphere, degree, range(1, top + 1)))
+    certs = (*ball_certs, neighborly, sanity)
     if not all(c.verdict is True for c in certs):
         bad = [c.property for c in certs if c.verdict is not True]
         raise RuntimeError(f"certificates {bad} failed for antichain {s.elements}")
@@ -182,13 +196,19 @@ def _family(k: int, n: int) -> Iterator[Antichain]:
 def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     """Certified entries of the even or odd census, in family order.
 
-    The parameters are checked on the call, before any entry is built.
-    With jobs > 1 the entries are built in a pool of that many processes;
-    they come back in the same order as with one.
+    The parameters are checked on the call, before any entry is built.  So
+    is, once, the k-neighborliness of the even census's ambient sphere, on
+    which every entry's sphere certificate builds (`_entry`); a RuntimeError
+    says it fails.  With jobs > 1 the entries are built in a pool of that
+    many processes; they come back in the same order as with one.
     """
     _check_census(parity, k, n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if parity == "even":
+        ambient = is_i_neighborly(cyclic_boundary(2 * k, n), k, range(1, n + 1))
+        if ambient.verdict is not True:
+            raise RuntimeError(f"ambient sphere is not {k}-neighborly: {ambient.witness}")
     return _stream(partial(_entry, parity, k, n), _family(k, n), jobs)
 
 

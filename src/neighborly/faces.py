@@ -13,10 +13,7 @@ facets holding it, the f-vector, the ridge incidence, the boundary, the
 Betti numbers and whether every face link is strongly connected) is
 computed at most once per complex and kept in a private record attached to
 it.  The record is a cache: it takes no part in equality, hashing, repr or
-pickling.  One entry is not computed here: `construct.sew` gives a sewn
-sphere's record the Betti numbers of the ambient sphere, which
-Mayer-Vietoris proves equal, and proves the sewn sphere a closed
-pseudomanifold from its parts without reading its ridges (see `sew`).
+pickling.
 
 One rule answers every face question: a set of vertices is a face exactly
 when the AND of its vertices' facet masks is not zero, and that AND is

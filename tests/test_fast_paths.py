@@ -1,30 +1,34 @@
 """Fast paths against slow references: the clearing GF(2) kernel relative to a
-star, the Betti numbers and the sphere certificate `sew` gives a sewn sphere
-from its parts, the face-link check that licenses them and the strong
-connectivity that shares its flood, the ridge-holder table and the ridge
-map (with its order), boundary and errors read off it, the face walk
-(f-vectors, face sets, face tests, neighborliness and the stackedness
-skeleton) against face levels built from facet subsets and against the
-closure oracles, the sanity certificates against one walk per condition,
-the maximal-face rule, order ideals (whole or from a minimum label),
-restrictions and pair facets built from down-sets, the shelling step on
-facet bitmasks against gap and meet references, `is_shelling` against the
-gap reference, the shelling search on its own stack against a recursive
-one, the shelling certificate of census balls against the full ball and
-sphere checks, with the eliminations a census runs, its fallback to them
-and the ridge maps it never builds, intersections by pairwise meets and
-antichain enumeration over comparability masks; every unchecked result
-against the checked constructor; and the derived record staying out of
-equality, hashing, repr and pickles."""
+star, a sewn sphere's Betti numbers against its ambient's, the sphere
+certificate `sew` gives it from its parts, the face-link check that licenses
+it and the strong connectivity that shares its flood, each census sphere's
+neighborliness taken from its ball's certificates (with the even census's
+one ambient check, and the full check when a ball certificate fails), the
+ridge-holder table and the ridge map (with its order), boundary and errors
+read off it, the face walk (f-vectors, face sets, face tests,
+neighborliness and the stackedness skeleton) against face levels built
+from facet subsets and against the closure oracles, the sanity
+certificates against one walk per condition, the maximal-face rule, order
+ideals (whole or from a minimum label), restrictions and pair facets built
+from down-sets, the shelling step on facet bitmasks against gap and meet
+references, `is_shelling` against the gap reference, the shelling search
+on its own stack against a recursive one, the shelling certificate of
+census balls against the full ball and sphere checks, with the
+eliminations a census runs, its fallback to them and the ridge maps it
+never builds, intersections by pairwise meets and antichain enumeration
+over comparability masks; every unchecked result against the checked
+constructor; and the derived record staying out of equality, hashing,
+repr and pickles."""
 
 import pickle
 import random
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, product, repeat
 
 import pytest
 
 from neighborly import construct, faces, verify
-from neighborly.construct import collect_census, even_census, odd_census, sew
+from neighborly.cli import run
+from neighborly.construct import census, collect_census, even_census, odd_census, sew
 from neighborly.cyclic import cyclic_boundary
 from neighborly.faces import (
     Complex,
@@ -425,16 +429,17 @@ def even_balls(k, n):
 
 
 @pytest.mark.parametrize("k, n", EVEN_GRID)
-def test_sewn_betti_from_the_ambient_match_full_elimination(k, n):
+def test_sewn_betti_match_the_ambient_and_full_elimination(k, n):
     """Also: each entry's sphere certificate, the one `sew` gives without a
     check on the result, is the full `sphere_sanity` of a fresh copy of its
     sphere."""
     delta = cyclic_boundary(2 * k, n)
     for ball, entry in zip(even_balls(k, n), even_census(k, n), strict=True):
         sphere = sew(delta, ball, n + 1)
-        given = z2_reduced_betti(sphere)  # read from the record sew filled
+        sewn = z2_reduced_betti(sphere)
         fresh = Complex._trusted(sphere.maximal_faces)
-        assert given == slow_z2_reduced_betti(sphere) == z2_reduced_betti(fresh), ball.facets
+        assert sewn == slow_z2_reduced_betti(sphere) == z2_reduced_betti(delta), ball.facets
+        assert sewn == z2_reduced_betti(fresh)
         assert sphere_sanity(sphere).as_dict() == sphere_sanity(fresh).as_dict()
         assert entry.sphere == sphere
         assert entry.certificates[-1] == sphere_sanity(fresh)
@@ -486,14 +491,17 @@ def sew_counting_eliminations(monkeypatch, delta, ball, new_vertex):
     return counting_eliminations(monkeypatch, lambda: sew(delta, ball, new_vertex))
 
 
-def test_sew_gives_betti_only_under_the_link_condition(monkeypatch):
+def test_sew_eliminates_only_without_the_link_condition(monkeypatch):
+    """Under the link condition `sew` runs no elimination, and the sewn
+    sphere's own Betti numbers are its ambient's, as Mayer-Vietoris says."""
     delta = cyclic_boundary(6, 9)
-    given = [sew_counting_eliminations(monkeypatch, delta, ball, 10) for ball in even_balls(3, 9)]
+    composed = [sew_counting_eliminations(monkeypatch, delta, ball, 10)
+                for ball in even_balls(3, 9)]
     monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
     computed = [sew_counting_eliminations(monkeypatch, delta, ball, 10)
                 for ball in even_balls(3, 9)]
-    assert len(given) == 11
-    for (sphere, eliminations), (again, own_eliminations) in zip(given, computed):
+    assert len(composed) == 11
+    for (sphere, eliminations), (again, own_eliminations) in zip(composed, computed):
         assert eliminations == 0
         assert own_eliminations > 0
         assert again == sphere
@@ -529,6 +537,74 @@ def test_census_falls_back_to_the_eliminations_when_the_search_fails(monkeypatch
             (e.antichain, e.ball, e.sphere) for e in want]
         assert [[c.as_dict() for c in e.certificates] for e in got] == [
             [c.as_dict() for c in e.certificates] for e in want]
+
+
+ODD_GRID = [(2, n) for n in range(4, 12)] + [(3, n) for n in range(6, 11)] + [
+    (4, n) for n in range(8, 12)]
+
+
+@pytest.mark.parametrize("parity, k, n", [("even", k, n) for k, n in EVEN_GRID]
+                         + [("odd", k, n) for k, n in ODD_GRID])
+def test_sphere_neighborliness_from_the_ball_matches_the_full_check(parity, k, n):
+    degree, top = (k, n + 1) if parity == "even" else (k - 1, n)
+    for entry in census(parity, k, n):
+        fresh = Complex._trusted(entry.sphere.maximal_faces)
+        assert entry.certificates[2] == is_i_neighborly(fresh, degree, range(1, top + 1))
+
+
+def recording_neighborliness(monkeypatch):
+    """The complexes `construct` checks for neighborliness, in call order."""
+    checked = []
+    real = construct.is_i_neighborly
+    monkeypatch.setattr(construct, "is_i_neighborly",
+                        lambda c, i, verts: checked.append(c) or real(c, i, verts))
+    return checked
+
+
+def test_census_walks_no_sphere_and_checks_the_ambient_once(monkeypatch):
+    """While both ball certificates hold, no sewn sphere is checked or given
+    vertex masks; the ambient is checked once, before the first entry."""
+    checked = recording_neighborliness(monkeypatch)
+    sewn = []
+    real_sew = construct.sew
+    monkeypatch.setattr(construct, "sew", lambda *args: sewn.append(real_sew(*args)) or sewn[-1])
+    stream = census("even", 3, 9)
+    assert checked == [cyclic_boundary(6, 9)] and not sewn
+    entries = list(stream)
+    assert len(entries) == len(sewn) == 11
+    assert checked == [cyclic_boundary(6, 9)] + [e.ball for e in entries]
+    assert all(sphere._derived.masks is None for sphere in sewn)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_failed_ball_certificate_falls_back_to_the_full_sphere_check(monkeypatch, parity):
+    """With the stackedness of the fifth ball refused, the full check runs on
+    that entry's sphere and the census stops with the error it always gave."""
+    entries = collect_census(parity, 3, 9)
+    bad = entries[4]
+    checked = recording_neighborliness(monkeypatch)
+    real = construct.is_r_stacked
+    monkeypatch.setattr(construct, "is_r_stacked", lambda b, r: (
+        Certificate(f"stacked({r})", False) if b == bad.ball else real(b, r)))
+    want = f"certificates ['stacked(2)'] failed for antichain {bad.antichain.elements}"
+    with pytest.raises(RuntimeError) as err:
+        collect_census(parity, 3, 9)
+    assert str(err.value) == want
+    others = {cyclic_boundary(6, 9)} | {e.ball for e in entries}
+    assert [c for c in checked if c not in others] == [bad.sphere]
+
+
+def test_census_refuses_an_ambient_that_is_not_neighborly(monkeypatch, capsys):
+    """The boundary of the 4-dimensional cross-polytope passes the sphere
+    check but is not 2-neighborly: the even census on it fails before its
+    first entry, and the command exits 1."""
+    cross = Complex.from_facets(product((1, 2), (3, 4), (5, 6), (7, 8)))
+    assert sphere_sanity(cross).verdict is True
+    monkeypatch.setattr(construct, "cyclic_boundary", lambda d, n: cross)
+    with pytest.raises(RuntimeError, match="not 2-neighborly"):
+        census("even", 2, 8)
+    assert run(["census", "--parity", "even", "--k", "2", "--n", "8"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def strongly_connected_by_meets(c):
