@@ -16,12 +16,13 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
-from .faces import Complex, boundary_complex, join, links_strongly_connected
+from .faces import Complex, boundary_complex, links_strongly_connected
 from .posets import Antichain, enumerate_antichains, max_slope_element
 from .squeezed import relative_ball
 from .verify import (
     Certificate,
-    _shelled_ball,
+    _Patch,
+    _patch,
     ball_sanity,
     is_i_neighborly,
     is_r_stacked,
@@ -48,12 +49,12 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
 
     b must be a full-dimensional proper subcomplex of delta and a ball,
     delta must pass `sphere_sanity`, and the new vertex must be unused.  The
-    ball is certified by a shelling (`verify._shelled_ball`): a shelled b is
-    a PL ball whose boundary is a PL sphere (Danaraj and Klee, "Shellings of
-    spheres and polytopes", 1974), and it is contractible (Bjorner,
-    "Topological methods", 1995).  When the shelling certificate fails,
-    `ball_sanity` decides, with its errors and witnesses.  A returned sphere
-    passes `sphere_sanity`.
+    ball is certified on delta's record (`verify._patch`): by a shelling,
+    whose shelled b is a PL ball whose boundary is a PL sphere (Danaraj and
+    Klee, "Shellings of spheres and polytopes", 1974), and it is
+    contractible (Bjorner, "Topological methods", 1995).  When that
+    certificate fails or cannot be given, `ball_sanity` decides, with its
+    errors and witnesses.  A returned sphere passes `sphere_sanity`.
 
     When every face link of delta is strongly connected, that follows from
     the certified parts, and the result is not checked again.  The link
@@ -78,7 +79,10 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
       A.  A face t of b that lies in a facet of A is joined to a facet of b
       by a chain of facets through t, each sharing a ridge through t with
       the next.  Some ridge of the chain has one facet in b and one in A, so
-      it is a boundary ridge of b, and t lies in it.
+      it is a boundary ridge of b, and t lies in it.  So a face of b is a
+      boundary face exactly when it lies in a facet of delta outside b,
+      which is how `verify._patch` reads the boundary faces off delta's
+      masks in both parities of the census.
     - A meets C in the boundary of b as well, since the new vertex is fresh.
     - b is mod-2 acyclic, as it is contractible when shelled and by its
       sanity check otherwise, and C is a cone.  Mayer-Vietoris needs
@@ -98,10 +102,15 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     is that of b, and a PL ball with the cone over its boundary glued on is
     a PL sphere.  The certificate returned is still `sphere_sanity`'s.
     """
+    return _sew(delta, b, new_vertex, _patch(delta, b))
+
+
+def _sew(delta: Complex, b: Complex, new_vertex: int, patch: _Patch | None) -> Complex:
+    """`sew`, given `verify._patch(delta, b)`."""
     sphere_cert = sphere_sanity(delta)
     if sphere_cert.verdict is not True:
         raise ValueError(f"ambient complex fails sphere sanity: {sphere_cert.witness}")
-    if not _shelled_ball(b):
+    if patch is None or not patch.shelled:
         ball_cert = ball_sanity(b)
         if ball_cert.verdict is not True:
             raise ValueError(f"patch fails ball sanity: {ball_cert.witness}")
@@ -111,9 +120,10 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
         raise ValueError("patch must be a proper subcomplex")
     if new_vertex in delta.vertices:
         raise ValueError(f"vertex {new_vertex} already present")
-    cone = join(boundary_complex(b), Complex(frozenset({(new_vertex,)})))
-    # one facet size, canonical tuples: no need to check them again
-    result = Complex._trusted((delta.maximal_faces - b.maximal_faces) | cone.maximal_faces)
+    ridges = boundary_complex(b).maximal_faces if patch is None else patch.boundary
+    # the cone facets: one facet size, canonical tuples, so no need to check them again
+    cone = frozenset(tuple(sorted((*r, new_vertex))) for r in ridges)
+    result = Complex._trusted((delta.maximal_faces - b.maximal_faces) | cone)
     if links_strongly_connected(delta):
         return result
     post = sphere_sanity(result)
@@ -125,11 +135,24 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
 def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
     """Build and certify one census entry; the parity picks only the sphere step.
 
+    The ball B is a set of facets of the ambient sphere delta =
+    `cyclic_boundary(2k, n)` in both parities, and it is certified on
+    delta's record by `verify._patch`: one shelling search and one walk of
+    B's faces give its shelling certificate, its boundary, and the verdicts
+    of its neighborliness and stackedness certificates.  B's boundary faces
+    are the faces of B that lie in a facet of delta outside B; `sew` proves
+    it from the link condition, which `verify._patch` checks on delta, once
+    per complex, with whether delta is a closed pseudomanifold.  The odd
+    census needs nothing more of delta, and skips its homology.  The full
+    checks (`ball_sanity`, `sphere_sanity`, `is_i_neighborly` and
+    `is_r_stacked`) run for each certificate that cannot be read off the
+    patch as True, and for every certificate when there is no delta (odd,
+    n = 2k) or the patch cannot be given.
+
     A sphere that `sew` returns passes `sphere_sanity`, so a sewn sphere's
     sanity certificate is not computed again.  The odd sphere is the
-    boundary of the ball, so a ball that passes the shelling certificate
-    (`verify._shelled_ball`) gives it, and `sphere_sanity` runs only when
-    that certificate fails.
+    boundary of the ball, so a shelled ball gives it, and `sphere_sanity`
+    runs only when that certificate fails.
 
     The sphere's neighborliness follows from the ball's two certificates,
     and the full `is_i_neighborly` on the sphere runs only when one of them
@@ -139,11 +162,10 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
     - Odd: the sphere is the boundary of B.  Every (k-1)-subset of [n] is a
       face of B, by neighborliness.  It has at most k vertices, so it lies
       in the boundary.
-    - Even: let A be the complex of the facets of the ambient sphere
-      delta = `cyclic_boundary(2k, n)` outside B, so the sphere is A plus
-      the cone over the boundary of B from n+1.  `census` has checked that
-      delta is k-neighborly on [n], and `sew` that delta is a closed
-      pseudomanifold and that B lies in it.
+    - Even: let A be the complex of the facets of delta outside B, so the
+      sphere is A plus the cone over the boundary of B from n+1.  `census`
+      has checked that delta is k-neighborly on [n], and `sew` that delta
+      is a closed pseudomanifold and that B lies in it.
       - The boundary of B lies in A.  Each boundary ridge of B lies in two
         facets of delta, and one of them is outside B.
       - A k-subset t of [n] is a face of delta.  If t is in B, stackedness
@@ -155,14 +177,22 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
     """
     s = a.to_pair_facets()
     ball = relative_ball(s)
+    # the cyclic 2k-polytope needs more than 2k vertices
+    delta = cyclic_boundary(2 * k, n) if n > 2 * k else Complex.void()
+    patch = _patch(delta, ball)
     if parity == "even":
-        sphere, degree, top = sew(cyclic_boundary(2 * k, n), ball, n + 1), k, n + 1
+        sphere, degree, top = _sew(delta, ball, n + 1, patch), k, n + 1
         sanity = Certificate("sphere-homology", True)
     else:
-        sphere, degree, top = boundary_complex(ball), k - 1, n
-        sanity = (Certificate("sphere-homology", True) if _shelled_ball(ball)
+        sphere = boundary_complex(ball) if patch is None else Complex._trusted(patch.boundary)
+        degree, top = k - 1, n
+        sanity = (Certificate("sphere-homology", True) if patch and patch.shelled
                   else sphere_sanity(sphere))
-    ball_certs = (is_i_neighborly(ball, k - 1, range(1, n + 1)), is_r_stacked(ball, k - 1))
+    ball_certs = (
+        Certificate(f"neighborly({k - 1})", True) if patch and patch.neighborly(k - 1, n)
+        else is_i_neighborly(ball, k - 1, range(1, n + 1)),
+        Certificate(f"stacked({k - 1})", True) if patch and patch.stacked(k - 1)
+        else is_r_stacked(ball, k - 1))
     neighborly = (Certificate(f"neighborly({degree})", True)
                   if all(c.verdict is True for c in ball_certs)
                   else is_i_neighborly(sphere, degree, range(1, top + 1)))

@@ -9,8 +9,9 @@ and all operations are pure functions.
 
 What is derived from a complex's facets (its dimension, purity and
 vertices, the facets in sorted order, each vertex's bitmask of the sorted
-facets holding it, the f-vector, the ridge incidence, the boundary, the
-Betti numbers and whether every face link is strongly connected) is
+facets holding it, the f-vector, the ridge incidence, the boundary, whether
+it is a closed pseudomanifold, the Betti numbers and whether every face
+link is strongly connected) is
 computed at most once per complex and kept in a private record attached to
 it.  The record is a cache: it takes no part in equality, hashing, repr or
 pickling.
@@ -22,12 +23,15 @@ directly.  The faces themselves are enumerated by one walk, one size at a
 time, each size in lexicographic order: a face extends by each later
 vertex that keeps the AND non-zero.  The f-vector counts the walk's
 levels, `all_faces` lists them, and `verify` reads its neighborliness and
-stackedness certificates off them.
+stackedness certificates off them.  Given a mask of facets, the walk keeps
+the faces whose AND meets it: the faces of the subcomplex those facets
+generate, walked on the whole complex's masks.
 
 `_ridge_holders` holds the mask of the facets holding each ridge F - v of
-each facet F.  The ridge map, the boundary and the shelling steps of
-`verify` read it, and a flood across it decides strong connectivity: over
-all facets for the complex, over those holding each face for its link.
+each facet F.  The ridge map, the boundary, whether the complex is a closed
+pseudomanifold and the shelling steps of `verify` read it, and a flood
+across it decides strong connectivity: over all facets for the complex,
+over those holding each face for its link.
 
 The mod-2 homology eliminates over the chain complex relative to the star
 of the vertex in the most facets, whose cells are only the faces outside
@@ -96,7 +100,7 @@ class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
     __slots__ = ("dimension", "pure", "vertices", "facets", "masks", "f_vector", "holders",
-                 "ridges", "boundary", "betti", "links_connected")
+                 "ridges", "boundary", "closed", "betti", "links_connected")
 
     def __init__(self) -> None:
         self.dimension: int | None = None
@@ -109,6 +113,7 @@ class _Derived:
         self.holders: tuple[tuple[int, ...], ...] | None = None  # see _ridge_holders
         self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
         self.boundary: Complex | None = None
+        self.closed: bool | None = None  # see _closed
         self.betti: tuple[int, ...] | None = None
         self.links_connected: bool | None = None
 
@@ -250,7 +255,8 @@ def _holding(c: Complex, vertices: Iterable[int]) -> int:
     return meet
 
 
-def _walk(c: Complex, second: Complex | None = None) -> Iterator[list[tuple[int, int, int]]]:
+def _walk(c: Complex, second: Complex | None = None,
+          within: int = -1) -> Iterator[list[tuple[int, int, int]]]:
     """The faces of c one size at a time, from the empty face up to the
     facets of the largest size, each level in lexicographic order.
 
@@ -259,7 +265,9 @@ def _walk(c: Complex, second: Complex | None = None) -> Iterator[list[tuple[int,
     the first vertex that may follow it).  The second AND is not zero
     exactly for the faces of the second complex; without one it is 0 above
     the empty face.  A face extends by each later vertex that keeps the
-    first AND non-zero, so no level holds a vertex set that is not a face.
+    first AND non-zero inside the facet mask `within`, so no level holds a
+    vertex set that is not a face of the subcomplex of c generated by the
+    facets in `within`; every facet by default.
     """
     verts = c.vertices
     own = list(map(vertex_masks(c).__getitem__, verts))
@@ -275,7 +283,7 @@ def _walk(c: Complex, second: Complex | None = None) -> Iterator[list[tuple[int,
     while level:
         yield level
         level = [(meet, rest & mask2, after) for mask, rest, start in level
-                 for mask1, mask2, after in later[start] if (meet := mask & mask1)]
+                 for mask1, mask2, after in later[start] if (meet := mask & mask1) & within]
 
 
 def all_faces(c: Complex, k: int) -> frozenset[Face]:
@@ -442,6 +450,17 @@ def boundary_complex(b: Complex) -> Complex:
                        for i, h in enumerate(held) if h == 1 << j)
         record.boundary = Complex._trusted(bd) if bd else Complex.empty()
     return record.boundary
+
+
+def _closed(c: Complex) -> bool:
+    """Does every ridge of the pure complex c lie in exactly two facets?
+    Read off the ridge holders once per complex; raises as `ridge_facets`
+    does."""
+    holders = _ridge_holders(c)
+    record = c._derived
+    if record.closed is None:
+        record.closed = all(h.bit_count() == 2 for held in holders for h in held)
+    return record.closed
 
 
 def strongly_connected(c: Complex) -> bool:

@@ -8,10 +8,14 @@ once (skeleton comparison and vanishing of the tail of the h-vector) and a
 disagreement raises instead of picking a side.
 
 A shelling step is tested by its restriction face on the facet and ridge
-masks of `faces`, in O(d) operations.  The census certifies each ball, and its
-boundary as a sphere, by one shelling (`_shelled_ball`) rather than by the
-homology of `ball_sanity` and `sphere_sanity`, which stay the full checks
-for outside input and run whenever the shelling certificate fails.
+masks of `faces`, in O(d) operations.  The census certifies each ball as a
+set of facets of its ambient sphere, on the ambient's record (`_patch`):
+one greedy shelling certifies the ball, and its boundary as a sphere, in
+place of the homology of `ball_sanity` and `sphere_sanity`, and one walk
+of the ball's faces, on the ambient's masks, gives its f-vector, its
+neighborliness and both sides of its stackedness.  The full checks stay
+for outside input, and run for any certificate the patch does not give as
+True.
 """
 
 from __future__ import annotations
@@ -19,17 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .faces import (
     Complex,
     Face,
+    FVector,
+    _closed,
     _holding,
     _ridge_holders,
     _walk,
     boundary_complex,
     f_vector,
     h_vector,
+    links_strongly_connected,
     ridge_facets,
     strongly_connected,
     vertex_masks,
@@ -140,17 +147,21 @@ def _step(pairs: Iterable[tuple[int, int]], placed: int) -> int | None:
     return None if meet & placed else size
 
 
-def _step_pairs(c: Complex) -> list[list[tuple[int, int]]]:
-    """The `_step` pairs of each facet of c in sorted order."""
+def _step_pairs(c: Complex, within: int = -1) -> dict[int, list[tuple[int, int]]]:
+    """The `_step` pairs of each facet of c in the facet mask `within`, keyed
+    by its index in sorted order; every facet by default."""
     masks = vertex_masks(c)
     # the one facet of the empty complex has no vertices, and so no ridges
     holders = _ridge_holders(c) if c.dimension >= 0 else [()]
-    return [list(zip(map(masks.__getitem__, f), held)) for f, held in zip(c.facets, holders)]
+    facets = c.facets
+    keep = range(len(facets)) if within == -1 else [
+        j for j in range(len(facets)) if within >> j & 1]
+    return {j: list(zip(map(masks.__getitem__, facets[j]), holders[j])) for j in keep}
 
 
 def _restriction_sizes(c: Complex, order: Iterable[Face]) -> Iterator[int | None]:
     """`_step` of each facet of the order after the facets before it."""
-    steps = dict(zip(c.facets, enumerate(_step_pairs(c))))
+    steps = dict(zip(c.facets, _step_pairs(c).items()))
     placed = 0
     for f in order:
         j, pairs = steps[f]
@@ -176,65 +187,79 @@ def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
 
 
 def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
-    """Search for a shelling order by depth-first extension.
+    """Search for a shelling order by depth-first extension, trying the
+    facets in sorted order (`_shell`).
 
-    The facets are tried in sorted order, so the first path of the search
-    places, at each step, the first facet whose step is good; each step is
-    tested on facet bitmasks by `_step`.  Prefixes that use the same facet
-    set succeed or fail together, so dead facet sets are memoized as
-    bitmasks.  Each node of the search counts against the budget, and a
-    successful search has one node per facet at least, with exactly that
-    many only when its first path succeeds.  Exceeding the node budget
-    yields verdict None; exhausting the search space without success is a
-    genuine refutation.  The search keeps its own stack, so its depth is
-    not bounded by the interpreter's recursion limit.
+    Exceeding the node budget yields verdict None; exhausting the search
+    space without success is a genuine refutation.
     """
     if c.is_void or not c.is_pure:
         raise ValueError("shellings are defined for pure non-void complexes")
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, got {budget}")
     facets = c.facets
-    steps = _step_pairs(c)
-    every = (1 << len(facets)) - 1
+    verdict, order = _shell(_step_pairs(c), budget)
+    return Certificate("shellable", verdict,
+                       witness=[facets[j] for j, _ in order] if verdict else None)
+
+
+def _shell(steps: Mapping[int, Sequence[tuple[int, int]]],
+           budget: int) -> tuple[bool | None, list[tuple[int, int]]]:
+    """Search for a shelling of the facets keyed in `steps` (their `_step`
+    pairs) by depth-first extension; the verdict and, when it is True, the
+    order as (facet index, size of its restriction face) pairs.
+
+    The facets are tried in index order, so the first path of the search
+    places, at each step, the first facet whose step is good.  Prefixes
+    that use the same facet set succeed or fail together, so dead facet
+    sets are memoized as bitmasks.  Each node of the search counts against
+    the budget, and a successful search has one node per facet at least,
+    with exactly that many only when its first path succeeds.  Exceeding
+    the budget gives None, and exhausting the search False.  The search
+    keeps its own stack, so its depth is not bounded by the interpreter's
+    recursion limit.
+    """
+    every = sum(map((1).__lshift__, steps))
     dead: set[int] = set()
     nodes = 0
-    order: list[int] = []
+    order: list[tuple[int, int]] = []
 
-    def candidates(placed: int) -> Iterator[int]:
+    def candidates(placed: int) -> Iterator[tuple[int, int]]:
         rest = every & ~placed
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            if _step(steps[j], placed) is not None:
-                yield j
+            size = _step(steps[j], placed)
+            if size is not None:
+                yield j, size
 
     # the open nodes, one per facet of the order plus the root: the facets
     # placed and the candidates not yet tried
-    stack: list[tuple[int, Iterator[int]]] = []
+    stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
     placed = 0
-    while len(order) < len(facets):
+    while len(order) < len(steps):
         if placed in dead:
             order.pop()
         else:
             nodes += 1
             if nodes > budget:
-                return Certificate("shellable", None, witness=None)
+                return None, []
             stack.append((placed, candidates(placed)))
         while stack:
             placed, todo = stack[-1]
-            j = next(todo, None)
-            if j is not None:
-                order.append(j)
-                placed |= 1 << j
+            step = next(todo, None)
+            if step is not None:
+                order.append(step)
+                placed |= 1 << step[0]
                 break
             dead.add(placed)
             stack.pop()
             if order:
                 order.pop()
         else:
-            return Certificate("shellable", False, witness=None)
-    return Certificate("shellable", True, witness=[facets[j] for j in order])
+            return False, []
+    return True, order
 
 
 def k2_shelling(s: Antichain, t: Antichain) -> ShellingOrder:
@@ -267,6 +292,8 @@ def sphere_sanity(c: Complex) -> Certificate:
     top cycle exactly when it holds both facets of each ridge or neither,
     that is when it is a union of facet-ridge components.  So the top Betti
     number counts the components, and more than one means disconnected.
+    Whether c is a closed pseudomanifold is read off its ridge holders, once
+    per complex, and the ridge map is built only for the witness.
     """
     if c.is_void:
         raise ValueError("void complex")
@@ -275,9 +302,9 @@ def sphere_sanity(c: Complex) -> Certificate:
     name = "sphere-homology"
     if c.is_empty:
         return Certificate(name, True)  # boundary of a point
-    for r, ms in ridge_facets(c).items():
-        if len(ms) != 2:
-            return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
+    if not _closed(c):
+        r, ms = next((r, ms) for r, ms in ridge_facets(c).items() if len(ms) != 2)
+        return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
     betti = z2_reduced_betti(c)
     if betti[-1] > 1:
         return Certificate(name, False, witness={"reason": "disconnected"})
@@ -319,26 +346,74 @@ def ball_sanity(c: Complex) -> Certificate:
     return Certificate(name, True)
 
 
-def _shelled_ball(b: Complex) -> bool:
-    """Is b certified by a shelling to be a PL ball whose boundary is a PL sphere?
+@dataclass(frozen=True)
+class _Patch:
+    """A ball b certified as a set of facets of a sphere delta (`_patch`)."""
 
-    True when every ridge of b lies in at most two facets, the first path
-    of `find_shelling` shells b (the budget is one node per facet), no step
-    has R = F, and the sizes of the restriction faces count out b's
-    h-vector, read from its f-vector.  A shellable pseudomanifold is a PL
-    ball or sphere, and a ball exactly when no step has R = F (Danaraj and
-    Klee, "Shellings of spheres and polytopes", 1974); its boundary is then
-    a PL sphere, and b is contractible (Bjorner, "Topological methods",
-    1995).  So True implies that `ball_sanity(b)` and
-    `sphere_sanity(boundary_complex(b))` pass.  False decides nothing:
-    callers run the full checks then.
+    boundary: frozenset[Face]  # the facets of the boundary of b: its ridges in one facet of b
+    shelled: bool  # b is a PL ball whose boundary is a PL sphere
+    f_vector: FVector  # b's
+    interior: int  # the size of the smallest face of b that is not a boundary face
+
+    def neighborly(self, i: int, vertex_count: int) -> bool:
+        """`is_i_neighborly`'s verdict on b, for a vertex set of that size."""
+        return i < len(self.f_vector) and self.f_vector[i] == comb(vertex_count, i)
+
+    def stacked(self, r: int) -> bool:
+        """Do both sides of `is_r_stacked(b, r)` hold?"""
+        d = len(self.f_vector) - 1
+        return self.interior >= d - r and not any(h_vector(self.f_vector, d)[r + 1:])
+
+
+def _patch(delta: Complex, b: Complex) -> _Patch | None:
+    """Certify b on the record of delta, with b held as the bitmask `bits`
+    of its facets among delta's sorted facets; None when delta is no closed
+    pseudomanifold whose face links are strongly connected, or b is not a
+    non-empty proper set of delta's facets.  Callers then run the full
+    checks, and they run them too for any verdict that is not True.
+
+    - Every ridge of b is a ridge of delta, so it lies in at most two facets
+      of b, and the boundary of b is the set of ridges F - v of b's facets
+      F whose holder in delta (`faces._ridge_holders`), ANDed with `bits`,
+      is F's own bit.
+    - `_shell` runs with budget one node per facet, so it returns True only
+      when its first path, the greedy shelling, shells b.  Its steps
+      (`_step`) read delta's masks and ridge holders: the facets placed lie
+      in `bits`, so a ridge or a face lies in a placed facet of b exactly
+      when it lies in a placed facet of delta.
+    - One walk of b's faces (`faces._walk` within `bits`) carries each
+      face's AND in delta.  Its levels count out the f-vector of b, and a
+      face of b is a boundary face exactly when that AND has a bit outside
+      `bits`, by the link condition (`construct.sew` gives the argument).
+
+    b is shelled when that search succeeds, no step has R = F, and the sizes
+    of the restriction faces count out the h-vector of b.  A shellable
+    pseudomanifold is a PL ball or sphere, and a ball exactly when no step
+    has R = F (Danaraj and Klee, "Shellings of spheres and polytopes",
+    1974); its boundary is then a PL sphere, and b is contractible
+    (Bjorner, "Topological methods", 1995).  So `ball_sanity(b)` and
+    `sphere_sanity(boundary_complex(b))` pass when b is shelled.
     """
-    if (b.is_void or b.is_empty or not b.is_pure
-            or any(h.bit_count() > 2 for held in _ridge_holders(b) for h in held)):
-        return False
-    found = find_shelling(b, len(b.facets))
-    if found.verdict is not True:
-        return False
-    d = b.dimension + 1
-    sizes = list(_restriction_sizes(b, found.witness))
-    return d not in sizes and tuple(map(sizes.count, range(d + 1))) == h_vector(f_vector(b), d)
+    if (delta.is_void or delta.is_empty or b.is_void or not delta.is_pure
+            or not _closed(delta) or not links_strongly_connected(delta)):
+        return None
+    facets = delta.facets
+    bits = sum(1 << j for j, f in enumerate(facets) if f in b.maximal_faces)
+    outside = ((1 << len(facets)) - 1) & ~bits
+    if bits.bit_count() != len(b.maximal_faces) or not outside:
+        return None
+    holders = _ridge_holders(delta)
+    boundary = frozenset(f[:i] + f[i + 1:] for j, f in enumerate(facets) if (own := 1 << j) & bits
+                         for i, h in enumerate(holders[j]) if h & bits == own)
+    counts: list[int] = []  # the f-vector
+    interior = 0  # not yet found: the empty face is a boundary face, as b is proper
+    for size, level in enumerate(_walk(delta, within=bits)):
+        counts.append(len(level))
+        if not interior and not all(map(outside.__and__, next(zip(*level)))):
+            interior = size
+    verdict, order = _shell(_step_pairs(delta, bits), bits.bit_count())
+    sizes = [size for _, size in order]
+    d = len(counts) - 1
+    shelled = (verdict is True and d not in sizes
+               and tuple(map(sizes.count, range(d + 1))) == h_vector(tuple(counts), d))
+    return _Patch(boundary, shelled, tuple(counts), interior)

@@ -12,11 +12,12 @@ certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
 from down-sets, the shelling step on facet bitmasks against gap and meet
 references, `is_shelling` against the gap reference, the shelling search
-on its own stack against a recursive one, the shelling certificate of
-census balls against the full ball and sphere checks, with the
-eliminations a census runs, its fallback to them and the ridge maps it
-never builds, intersections by pairwise meets and antichain enumeration
-over comparability masks; every unchecked result against the checked
+on its own stack against a recursive one, each census ball's patch in its
+ambient (shelling certificate, boundary, f-vector, neighborliness and
+stackedness from one walk) against the full checks, with the walks and
+eliminations a census runs, its fallbacks to the full checks and the masks
+and holders of its balls it never builds, intersections by pairwise meets
+and antichain enumeration over comparability masks; every unchecked result against the checked
 constructor; and the derived record staying out of equality, hashing,
 repr and pickles."""
 
@@ -447,30 +448,81 @@ def test_sewn_betti_match_the_ambient_and_full_elimination(k, n):
 
 def test_sewn_sphere_record_holds_no_ridge_map_or_face_levels(monkeypatch):
     """Under the link condition neither `sew` nor the sewn sphere's
-    neighborliness check builds the sphere's ridge map, and the record has
-    no face levels to build; without it `sew` runs `sphere_sanity`, which
-    builds the ridge map."""
+    neighborliness check builds the sphere's ridge map or asks whether it is
+    closed, and the record has no face levels to build; without it `sew`
+    runs `sphere_sanity`, which reads that the sphere is closed off its
+    ridge holders and builds no ridge map for a sphere that passes."""
     delta = cyclic_boundary(6, 9)
     for ball in even_balls(3, 9):
         sphere = sew(delta, ball, 10)
         assert is_i_neighborly(sphere, 3, range(1, 11)).verdict is True
         assert sphere._derived.ridges is None and not hasattr(sphere._derived, "faces")
+        assert sphere._derived.closed is None
     monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
     for ball in even_balls(3, 9):
-        assert sew(delta, ball, 10)._derived.ridges is not None
+        record = sew(delta, ball, 10)._derived
+        assert record.closed is True and record.ridges is None
 
 
-def test_census_builds_no_ridge_map_of_a_ball():
-    """The census's checks of a ball (the patch guard and sewing, stackedness
-    and the shelling certificate) read the ridge holders, never the
-    face-keyed ridge map."""
-    delta = cyclic_boundary(6, 9)
+def recording_calls(monkeypatch, module, name, *bindings):
+    """The first argument of every call of module.name, in call order, through
+    every module that binds the name."""
+    real = getattr(module, name)
+    calls = []
+
+    def recorded(c, *args, **kwargs):
+        calls.append(c)
+        return real(c, *args, **kwargs)
+    for where in (module, *bindings):
+        monkeypatch.setattr(where, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_census_builds_no_masks_or_holders_of_a_ball(monkeypatch, parity):
+    """A census entry reads its ball off the ambient's record: it builds no
+    vertex masks or ridge holders of the ball or of its boundary, and so no
+    ridge map.  The full stackedness check, which runs only when the patch
+    cannot decide, reads the ball's ridge holders, never its ridge map."""
+    delta = cyclic_boundary(6, 10)
+    masked = recording_calls(monkeypatch, faces, "vertex_masks", verify)
+    held = recording_calls(monkeypatch, faces, "_ridge_holders", verify)
+    entries = collect_census(parity, 3, 10)
+    assert len(entries) == 50
+    assert all(c is delta for c in masked + held)
+    monkeypatch.undo()
     for ball in even_balls(3, 9):
-        sew(delta, ball, 10)
         assert is_r_stacked(ball, 2).verdict is True
-        assert verify._shelled_ball(ball) is True
         assert ball._derived.ridges is None and ball._derived.holders is not None
         assert boundary_complex(ball)._derived.ridges is None
+
+
+@pytest.mark.parametrize("parity, whole", [("even", 2), ("odd", 1)])
+def test_census_walks_each_ball_once_and_checks_the_ambient_once(monkeypatch, parity, whole):
+    """On a fresh ambient, each entry walks its ball's faces once, as the
+    ambient's faces within the ball's facets.  The ambient is walked whole
+    for its link check, once, and for the even census's neighborliness
+    check, once; it is eliminated once by the even census (`sew`'s sphere
+    check) and never by the odd one, whose argument needs no homology."""
+    fresh = Complex._trusted(cyclic_boundary(6, 10).maximal_faces)
+    monkeypatch.setattr(construct, "cyclic_boundary", lambda d, n: fresh)
+    real = faces._walk
+    walks = []
+
+    def counting(c, second=None, within=-1):
+        walks.append((c, within))
+        return real(c, second, within)
+    monkeypatch.setattr(faces, "_walk", counting)
+    monkeypatch.setattr(verify, "_walk", counting)
+    entries, eliminations = counting_eliminations(
+        monkeypatch, lambda: collect_census(parity, 3, 10))
+    assert len(entries) == 50
+    assert [c for c, within in walks if within == -1] == [fresh] * whole
+    within = [(c, bits) for c, bits in walks if bits != -1]
+    assert len(within) == len({bits for _, bits in within}) == 50
+    assert all(c is fresh for c, _ in within)
+    assert (eliminations > 0) == (parity == "even")
+    assert fresh._derived.closed is True and fresh._derived.links_connected is True
 
 
 def counting_eliminations(monkeypatch, call):
@@ -528,8 +580,7 @@ def test_census_falls_back_to_the_eliminations_when_the_search_fails(monkeypatch
     check and the odd entry the full sphere check; entries are unchanged."""
     for parity in ("even", "odd"):
         want = collect_census(parity, 3, 9)
-        monkeypatch.setattr(verify, "find_shelling",
-                            lambda c, budget: Certificate("shellable", None))
+        monkeypatch.setattr(verify, "_shell", lambda steps, budget: (None, []))
         got, count = counting_eliminations(monkeypatch, lambda: collect_census(parity, 3, 9))
         monkeypatch.undo()
         assert count >= 2 * len(want)
@@ -537,6 +588,33 @@ def test_census_falls_back_to_the_eliminations_when_the_search_fails(monkeypatch
             (e.antichain, e.ball, e.sphere) for e in want]
         assert [[c.as_dict() for c in e.certificates] for e in got] == [
             [c.as_dict() for c in e.certificates] for e in want]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_census_without_the_link_condition_runs_the_full_checks(monkeypatch, parity):
+    """With the ambient's link condition refused, every entry runs the full
+    ball, stackedness, neighborliness and sphere checks, and the entries are
+    unchanged; so is the error of an entry whose stackedness is refused."""
+    want = collect_census(parity, 3, 9)
+    monkeypatch.setattr(verify, "links_strongly_connected", lambda c: False)
+    monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
+    checked = recording_neighborliness(monkeypatch)
+    stacked = recording_calls(monkeypatch, construct, "is_r_stacked")
+    got, count = counting_eliminations(monkeypatch, lambda: collect_census(parity, 3, 9))
+    assert count >= len(want)
+    assert [(e.antichain, e.ball, e.sphere) for e in got] == [
+        (e.antichain, e.ball, e.sphere) for e in want]
+    assert [[c.as_dict() for c in e.certificates] for e in got] == [
+        [c.as_dict() for c in e.certificates] for e in want]
+    assert checked[1 if parity == "even" else 0:] == stacked == [e.ball for e in want]
+    bad = want[4]
+    real = construct.is_r_stacked
+    monkeypatch.setattr(construct, "is_r_stacked", lambda b, r: (
+        Certificate(f"stacked({r})", False) if b == bad.ball else real(b, r)))
+    with pytest.raises(RuntimeError) as err:
+        collect_census(parity, 3, 9)
+    assert str(err.value) == (
+        f"certificates ['stacked(2)'] failed for antichain {bad.antichain.elements}")
 
 
 ODD_GRID = [(2, n) for n in range(4, 12)] + [(3, n) for n in range(6, 11)] + [
@@ -563,16 +641,17 @@ def recording_neighborliness(monkeypatch):
 
 def test_census_walks_no_sphere_and_checks_the_ambient_once(monkeypatch):
     """While both ball certificates hold, no sewn sphere is checked or given
-    vertex masks; the ambient is checked once, before the first entry."""
+    vertex masks, and no ball is checked on its own (the patch certifies
+    it); the ambient is checked once, before the first entry."""
     checked = recording_neighborliness(monkeypatch)
     sewn = []
-    real_sew = construct.sew
-    monkeypatch.setattr(construct, "sew", lambda *args: sewn.append(real_sew(*args)) or sewn[-1])
+    real_sew = construct._sew
+    monkeypatch.setattr(construct, "_sew", lambda *args: sewn.append(real_sew(*args)) or sewn[-1])
     stream = census("even", 3, 9)
     assert checked == [cyclic_boundary(6, 9)] and not sewn
     entries = list(stream)
     assert len(entries) == len(sewn) == 11
-    assert checked == [cyclic_boundary(6, 9)] + [e.ball for e in entries]
+    assert checked == [cyclic_boundary(6, 9)]
     assert all(sphere._derived.masks is None for sphere in sewn)
 
 
@@ -583,6 +662,10 @@ def test_failed_ball_certificate_falls_back_to_the_full_sphere_check(monkeypatch
     entries = collect_census(parity, 3, 9)
     bad = entries[4]
     checked = recording_neighborliness(monkeypatch)
+    # the patch cannot decide that ball, so the full stackedness check runs
+    real_patch = construct._patch
+    monkeypatch.setattr(construct, "_patch", lambda delta, b: (
+        None if b == bad.ball else real_patch(delta, b)))
     real = construct.is_r_stacked
     monkeypatch.setattr(construct, "is_r_stacked", lambda b, r: (
         Certificate(f"stacked({r})", False) if b == bad.ball else real(b, r)))
@@ -1142,21 +1225,47 @@ def slow_restriction(f, earlier):
     return {v for v in f if any(set(f) - {v} <= set(g) for g in earlier)}
 
 
-# every relative ball of the even and odd censuses up to these sizes; both
-# parities build the same ball from an antichain
-BALL_GRID = ([(2, n) for n in range(4, 11)] + [(3, n) for n in range(6, 12)]
-             + [(4, n) for n in range(8, 12)])
+# every relative ball of the even and odd censuses up to these sizes that
+# has an ambient cyclic boundary; both parities build the same ball from an
+# antichain
+BALL_GRID = ([(2, n) for n in range(5, 11)] + [(3, n) for n in range(7, 12)]
+             + [(4, n) for n in range(9, 12)])
+
+
+def assert_patch_matches_the_full_checks(delta, b, vertex_count):
+    """The patch of b in delta against the full checks on a fresh copy of b:
+    its boundary, f-vector, and neighborliness and stackedness verdicts for
+    every degree, with the size of the stackedness witness."""
+    patch = verify._patch(delta, b)
+    fresh = Complex._trusted(b.maximal_faces)
+    assert patch.boundary == boundary_complex(fresh).maximal_faces
+    assert patch.f_vector == f_vector(fresh)
+    for i in range(1, len(patch.f_vector) + 1):
+        assert patch.neighborly(i, vertex_count) == (
+            is_i_neighborly(fresh, i, range(1, vertex_count + 1)).verdict), i
+    for r in range(len(patch.f_vector) + 1):
+        try:
+            cert = is_r_stacked(fresh, r)
+        except RuntimeError:  # the two sides disagree, so not both hold
+            assert not patch.stacked(r), r
+            continue
+        assert patch.stacked(r) == cert.verdict, r
+        assert cert.verdict or len(cert.witness) == patch.interior
+    return patch
 
 
 @pytest.mark.parametrize("k, n", BALL_GRID)
-def test_shelled_ball_matches_the_full_checks(k, n):
-    """The composed verdicts of `sew`'s patch guard and of the odd entry's
-    sphere certificate equal the full checks on fresh copies, and the sizes
-    of the restriction faces count out the h-vector of the closure."""
+def test_patch_matches_the_full_checks(k, n):
+    """The patch of each census ball in its cyclic boundary gives the full
+    checks' boundary, f-vector, neighborliness and stackedness; it shells the
+    ball, as the full ball check passes it, and the entry's odd sphere
+    certificate equals the full check.  The sizes of the restriction faces
+    of the greedy shelling count out the h-vector of the closure."""
+    delta = cyclic_boundary(2 * k, n)
     for a in enumerate_antichains(k, n, must_contain=max_slope_element(k, n)):
         b = relative_ball(a.to_pair_facets())
         fresh = Complex._trusted(b.maximal_faces)
-        assert verify._shelled_ball(b) is True, b.facets
+        assert assert_patch_matches_the_full_checks(delta, b, n).shelled, b.facets
         assert ball_sanity(fresh).verdict is True, b.facets
         entry = construct._entry("odd", k, n, a)
         assert entry.certificates[-1] == sphere_sanity(boundary_complex(fresh))
@@ -1167,29 +1276,48 @@ def test_shelled_ball_matches_the_full_checks(k, n):
             f_vector_by_closure(b.facets), d)
 
 
-NON_BALLS = [Complex.from_facets(fs) for fs in [
-    [(1, 2, 3), (1, 4, 5)],  # two triangles on one vertex
-    [(1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)] + [(1, 2, 6), (2, 3, 6), (3, 4, 6), (1, 4, 6)],
-    [(1, 2, 3), (1, 2, 4), (1, 2, 5)],  # three triangles on an edge
-    [(1,), (2,)],  # a 0-sphere: shellable, with R = F at its last step
-    [(1, 2), (2, 3), (3, 1)],
-    TORUS, RP2, TETRA_BOUNDARY,
-]]
+# closed pseudomanifolds with strongly connected face links
+AMBIENTS = [cyclic_boundary(d, n) for d, n in [(2, 5), (3, 6), (4, 7), (5, 8)]] + [
+    Complex.from_facets(product((1, 2), (3, 4), (5, 6))), *SURFACES]
 
 
-def test_shelled_ball_passes_only_balls():
-    """A complex the certificate passes passes the full ball check, and its
-    boundary the sphere check; complexes that are no balls are refused."""
-    for c in NON_BALLS:
-        assert not verify._shelled_ball(c), c.facets
-    passed = 0
-    for c in PURE + CENSUS + ODD_CENSUS + CYCLIC + POINTS + NON_BALLS:
-        if verify._shelled_ball(c):
-            passed += 1
-            assert ball_sanity(c).verdict is True, c.facets
-            assert sphere_sanity(boundary_complex(c)).verdict is True, c.facets
-    assert passed > len(CENSUS_BALLS)
-    assert not verify._shelled_ball(Complex.empty())
+def random_patches(seed, delta, count):
+    """Random non-empty proper facet sets of delta, as complexes."""
+    rng = random.Random(seed)
+    facets = delta.facets
+    return [Complex.from_facets(rng.sample(facets, rng.randint(1, len(facets) - 1)))
+            for _ in range(count)]
+
+
+def test_patch_passes_only_balls():
+    """On random facet sets of spheres and surfaces, the patch agrees with
+    the full checks, and a facet set it shells passes the full ball check,
+    with a boundary passing the sphere check.  Two facets sharing one
+    vertex are refused, and no patch is given for the whole ambient, for a
+    set that is not the ambient's, or in an ambient that is not closed or
+    fails the link condition."""
+    passed = failed = 0
+    for seed, delta in enumerate(AMBIENTS):
+        assert links_strongly_connected(delta)
+        for b in random_patches(seed, delta, 40):
+            patch = assert_patch_matches_the_full_checks(delta, b, delta.vertices[-1])
+            if patch.shelled:
+                passed += 1
+                assert ball_sanity(b).verdict is True, b.facets
+                assert sphere_sanity(boundary_complex(b)).verdict is True, b.facets
+            else:
+                failed += 1
+    assert passed > 40 and failed > 40
+    delta = cyclic_boundary(3, 6)
+    wedge = Complex.from_facets([(1, 2, 3), (3, 4, 6)])
+    assert wedge.maximal_faces <= delta.maximal_faces
+    assert not verify._patch(delta, wedge).shelled
+    assert ball_sanity(wedge).verdict is False
+    for delta, b in [(delta, delta), (delta, Complex.from_facets([(1, 2, 7)])),
+                     (delta, Complex.void()), (Complex.void(), wedge),
+                     (Complex.from_facets(TORUS[:-1]), Complex.from_facets(TORUS[:1])),
+                     (PINCHED_COMPLEXES[0], Complex.from_facets(PINCHED_COMPLEXES[0].facets[:1]))]:
+        assert verify._patch(delta, b) is None
 
 
 def scan_enumerate_antichains(k, n, must_contain=None):
