@@ -44,17 +44,19 @@ class CensusEntry:
     certificates: tuple[Certificate, ...]
 
 
-def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
+def sew(delta: Complex, b: Complex, new_vertex: int, *, patch: _Patch | None = None) -> Complex:
     """Replace the ball b inside the sphere delta by the cone over its boundary.
 
     b must be a full-dimensional proper subcomplex of delta and a ball,
     delta must pass `sphere_sanity`, and the new vertex must be unused.  The
-    ball is certified on delta's record (`verify._patch`): by a shelling,
-    whose shelled b is a PL ball whose boundary is a PL sphere (Danaraj and
-    Klee, "Shellings of spheres and polytopes", 1974), and it is
-    contractible (Bjorner, "Topological methods", 1995).  When that
-    certificate fails or cannot be given, `ball_sanity` decides, with its
-    errors and witnesses.  A returned sphere passes `sphere_sanity`.
+    ball is certified on delta's record by `verify._patch(delta, b)`, made
+    here unless the caller passes the one it made as `patch` (the census
+    reads the ball's own certificates off it too): by a shelling, whose
+    shelled b is a PL ball whose boundary is a PL sphere (Danaraj and Klee,
+    "Shellings of spheres and polytopes", 1974), and it is contractible
+    (Bjorner, "Topological methods", 1995).  When that certificate fails or
+    cannot be given, `ball_sanity` decides, with its errors and witnesses.
+    A returned sphere passes `sphere_sanity`.
 
     When every face link of delta is strongly connected, that follows from
     the certified parts, and the result is not checked again.  The link
@@ -102,14 +104,11 @@ def sew(delta: Complex, b: Complex, new_vertex: int) -> Complex:
     is that of b, and a PL ball with the cone over its boundary glued on is
     a PL sphere.  The certificate returned is still `sphere_sanity`'s.
     """
-    return _sew(delta, b, new_vertex, _patch(delta, b))
-
-
-def _sew(delta: Complex, b: Complex, new_vertex: int, patch: _Patch | None) -> Complex:
-    """`sew`, given `verify._patch(delta, b)`."""
     sphere_cert = sphere_sanity(delta)
     if sphere_cert.verdict is not True:
         raise ValueError(f"ambient complex fails sphere sanity: {sphere_cert.witness}")
+    if patch is None:
+        patch = _patch(delta, b)
     if patch is None or not patch.shelled:
         ball_cert = ball_sanity(b)
         if ball_cert.verdict is not True:
@@ -181,7 +180,7 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
     delta = cyclic_boundary(2 * k, n) if n > 2 * k else Complex.void()
     patch = _patch(delta, ball)
     if parity == "even":
-        sphere, degree, top = _sew(delta, ball, n + 1, patch), k, n + 1
+        sphere, degree, top = sew(delta, ball, n + 1, patch=patch), k, n + 1
         sanity = Certificate("sphere-homology", True)
     else:
         sphere = boundary_complex(ball) if patch is None else Complex._trusted(patch.boundary)

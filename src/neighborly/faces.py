@@ -9,9 +9,9 @@ and all operations are pure functions.
 
 What is derived from a complex's facets (its dimension, purity and
 vertices, the facets in sorted order, each vertex's bitmask of the sorted
-facets holding it, the f-vector, the ridge incidence, the boundary, whether
-it is a closed pseudomanifold, the Betti numbers and whether every face
-link is strongly connected) is
+facets holding it, the f-vector, the ridge incidence and the shelling
+steps' masks, the boundary, whether it is a closed pseudomanifold, the
+Betti numbers and whether every face link is strongly connected) is
 computed at most once per complex and kept in a private record attached to
 it.  The record is a cache: it takes no part in equality, hashing, repr or
 pickling.
@@ -29,9 +29,9 @@ generate, walked on the whole complex's masks.
 
 `_ridge_holders` holds the mask of the facets holding each ridge F - v of
 each facet F.  The ridge map, the boundary, whether the complex is a closed
-pseudomanifold and the shelling steps of `verify` read it, and a flood
-across it decides strong connectivity: over all facets for the complex,
-over those holding each face for its link.
+pseudomanifold and the shelling steps of `verify` (`_step_pairs`) read it,
+and a flood across it decides strong connectivity: over all facets for the
+complex, over those holding each face for its link.
 
 The mod-2 homology eliminates over the chain complex relative to the star
 of the vertex in the most facets, whose cells are only the faces outside
@@ -100,7 +100,7 @@ class _Derived:
     """What is computed from the facets of one complex, each part on first use."""
 
     __slots__ = ("dimension", "pure", "vertices", "facets", "masks", "f_vector", "holders",
-                 "ridges", "boundary", "closed", "betti", "links_connected")
+                 "steps", "ridges", "boundary", "closed", "betti", "links_connected")
 
     def __init__(self) -> None:
         self.dimension: int | None = None
@@ -111,6 +111,7 @@ class _Derived:
         self.masks: Mapping[int, int] | None = None  # read-only
         self.f_vector: FVector | None = None
         self.holders: tuple[tuple[int, ...], ...] | None = None  # see _ridge_holders
+        self.steps: tuple[tuple[tuple[int, int], ...], ...] | None = None  # see _step_pairs
         self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
         self.boundary: Complex | None = None
         self.closed: bool | None = None  # see _closed
@@ -412,6 +413,21 @@ def _ridge_holders(c: Complex) -> tuple[tuple[int, ...], ...]:
             table.append(tuple(map(and_, accumulate(own, and_, initial=every), after)))
         record.holders = tuple(table)
     return record.holders
+
+
+def _step_pairs(c: Complex) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each facet F in sorted order, each vertex v of F in order as its
+    mask (`vertex_masks`) and the mask of the facets holding F - v
+    (`_ridge_holders`): what a shelling step of `verify` reads.  Built once
+    per complex; raises as `_ridge_holders` does, but the one facet of the
+    empty complex has no vertices, and so no pairs."""
+    record = c._derived
+    if record.steps is None:
+        masks = vertex_masks(c)
+        holders = _ridge_holders(c) if c.dimension >= 0 else [()]
+        record.steps = tuple(tuple(zip(map(masks.__getitem__, f), held))
+                             for f, held in zip(c.facets, holders))
+    return record.steps
 
 
 def ridge_facets(c: Complex) -> Mapping[Face, tuple[Face, ...]]:

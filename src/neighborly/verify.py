@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .faces import (
     Complex,
@@ -32,6 +32,7 @@ from .faces import (
     _closed,
     _holding,
     _ridge_holders,
+    _step_pairs,
     _walk,
     boundary_complex,
     f_vector,
@@ -39,7 +40,6 @@ from .faces import (
     links_strongly_connected,
     ridge_facets,
     strongly_connected,
-    vertex_masks,
     z2_reduced_betti,
 )
 from .posets import Antichain
@@ -147,21 +147,9 @@ def _step(pairs: Iterable[tuple[int, int]], placed: int) -> int | None:
     return None if meet & placed else size
 
 
-def _step_pairs(c: Complex, within: int = -1) -> dict[int, list[tuple[int, int]]]:
-    """The `_step` pairs of each facet of c in the facet mask `within`, keyed
-    by its index in sorted order; every facet by default."""
-    masks = vertex_masks(c)
-    # the one facet of the empty complex has no vertices, and so no ridges
-    holders = _ridge_holders(c) if c.dimension >= 0 else [()]
-    facets = c.facets
-    keep = range(len(facets)) if within == -1 else [
-        j for j in range(len(facets)) if within >> j & 1]
-    return {j: list(zip(map(masks.__getitem__, facets[j]), holders[j])) for j in keep}
-
-
 def _restriction_sizes(c: Complex, order: Iterable[Face]) -> Iterator[int | None]:
     """`_step` of each facet of the order after the facets before it."""
-    steps = dict(zip(c.facets, _step_pairs(c).items()))
+    steps = dict(zip(c.facets, enumerate(_step_pairs(c))))
     placed = 0
     for f in order:
         j, pairs = steps[f]
@@ -198,16 +186,17 @@ def find_shelling(c: Complex, budget: int = 1_000_000) -> Certificate:
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, got {budget}")
     facets = c.facets
-    verdict, order = _shell(_step_pairs(c), budget)
+    verdict, order = _shell(_step_pairs(c), (1 << len(facets)) - 1, budget)
     return Certificate("shellable", verdict,
                        witness=[facets[j] for j, _ in order] if verdict else None)
 
 
-def _shell(steps: Mapping[int, Sequence[tuple[int, int]]],
+def _shell(steps: Sequence[Sequence[tuple[int, int]]], every: int,
            budget: int) -> tuple[bool | None, list[tuple[int, int]]]:
-    """Search for a shelling of the facets keyed in `steps` (their `_step`
-    pairs) by depth-first extension; the verdict and, when it is True, the
-    order as (facet index, size of its restriction face) pairs.
+    """Search for a shelling of the facets in the mask `every`, given the
+    `_step` pairs of each facet (`faces._step_pairs`), by depth-first
+    extension; the verdict and, when it is True, the order as (facet index,
+    size of its restriction face) pairs.
 
     The facets are tried in index order, so the first path of the search
     places, at each step, the first facet whose step is good.  Prefixes
@@ -219,7 +208,7 @@ def _shell(steps: Mapping[int, Sequence[tuple[int, int]]],
     keeps its own stack, so its depth is not bounded by the interpreter's
     recursion limit.
     """
-    every = sum(map((1).__lshift__, steps))
+    count = every.bit_count()
     dead: set[int] = set()
     nodes = 0
     order: list[tuple[int, int]] = []
@@ -238,7 +227,7 @@ def _shell(steps: Mapping[int, Sequence[tuple[int, int]]],
     # placed and the candidates not yet tried
     stack: list[tuple[int, Iterator[tuple[int, int]]]] = []
     placed = 0
-    while len(order) < len(steps):
+    while len(order) < count:
         if placed in dead:
             order.pop()
         else:
@@ -378,8 +367,9 @@ def _patch(delta: Complex, b: Complex) -> _Patch | None:
       is F's own bit.
     - `_shell` runs with budget one node per facet, so it returns True only
       when its first path, the greedy shelling, shells b.  Its steps
-      (`_step`) read delta's masks and ridge holders: the facets placed lie
-      in `bits`, so a ridge or a face lies in a placed facet of b exactly
+      (`_step`) read delta's pairs (`faces._step_pairs`, built once per
+      complex) and try only the facets in `bits`, so the facets placed lie
+      in `bits`, and a ridge or a face lies in a placed facet of b exactly
       when it lies in a placed facet of delta.
     - One walk of b's faces (`faces._walk` within `bits`) carries each
       face's AND in delta.  Its levels count out the f-vector of b, and a
@@ -411,7 +401,7 @@ def _patch(delta: Complex, b: Complex) -> _Patch | None:
         counts.append(len(level))
         if not interior and not all(map(outside.__and__, next(zip(*level)))):
             interior = size
-    verdict, order = _shell(_step_pairs(delta, bits), bits.bit_count())
+    verdict, order = _shell(_step_pairs(delta), bits, bits.bit_count())
     sizes = [size for _, size in order]
     d = len(counts) - 1
     shelled = (verdict is True and d not in sizes

@@ -485,7 +485,7 @@ def test_census_builds_no_masks_or_holders_of_a_ball(monkeypatch, parity):
     ridge map.  The full stackedness check, which runs only when the patch
     cannot decide, reads the ball's ridge holders, never its ridge map."""
     delta = cyclic_boundary(6, 10)
-    masked = recording_calls(monkeypatch, faces, "vertex_masks", verify)
+    masked = recording_calls(monkeypatch, faces, "vertex_masks")
     held = recording_calls(monkeypatch, faces, "_ridge_holders", verify)
     entries = collect_census(parity, 3, 10)
     assert len(entries) == 50
@@ -580,7 +580,7 @@ def test_census_falls_back_to_the_eliminations_when_the_search_fails(monkeypatch
     check and the odd entry the full sphere check; entries are unchanged."""
     for parity in ("even", "odd"):
         want = collect_census(parity, 3, 9)
-        monkeypatch.setattr(verify, "_shell", lambda steps, budget: (None, []))
+        monkeypatch.setattr(verify, "_shell", lambda steps, every, budget: (None, []))
         got, count = counting_eliminations(monkeypatch, lambda: collect_census(parity, 3, 9))
         monkeypatch.undo()
         assert count >= 2 * len(want)
@@ -645,8 +645,9 @@ def test_census_walks_no_sphere_and_checks_the_ambient_once(monkeypatch):
     it); the ambient is checked once, before the first entry."""
     checked = recording_neighborliness(monkeypatch)
     sewn = []
-    real_sew = construct._sew
-    monkeypatch.setattr(construct, "_sew", lambda *args: sewn.append(real_sew(*args)) or sewn[-1])
+    real_sew = construct.sew
+    monkeypatch.setattr(construct, "sew", lambda *args, **kwargs: sewn.append(
+        real_sew(*args, **kwargs)) or sewn[-1])
     stream = census("even", 3, 9)
     assert checked == [cyclic_boundary(6, 9)] and not sewn
     entries = list(stream)
@@ -1225,11 +1226,10 @@ def slow_restriction(f, earlier):
     return {v for v in f if any(set(f) - {v} <= set(g) for g in earlier)}
 
 
-# every relative ball of the even and odd censuses up to these sizes that
-# has an ambient cyclic boundary; both parities build the same ball from an
-# antichain
-BALL_GRID = ([(2, n) for n in range(5, 11)] + [(3, n) for n in range(7, 12)]
-             + [(4, n) for n in range(9, 12)])
+# every relative ball of the even and odd censuses up to these sizes; both
+# parities build the same ball from an antichain
+BALL_GRID = ([(2, n) for n in range(4, 11)] + [(3, n) for n in range(6, 12)]
+             + [(4, n) for n in range(8, 12)])
 
 
 def assert_patch_matches_the_full_checks(delta, b, vertex_count):
@@ -1257,15 +1257,17 @@ def assert_patch_matches_the_full_checks(delta, b, vertex_count):
 @pytest.mark.parametrize("k, n", BALL_GRID)
 def test_patch_matches_the_full_checks(k, n):
     """The patch of each census ball in its cyclic boundary gives the full
-    checks' boundary, f-vector, neighborliness and stackedness; it shells the
-    ball, as the full ball check passes it, and the entry's odd sphere
+    checks' boundary, f-vector, neighborliness and stackedness and shells
+    the ball; there is no cyclic boundary, and so no patch, at n = 2k.  The
+    full ball check passes every ball, and the entry's odd sphere
     certificate equals the full check.  The sizes of the restriction faces
     of the greedy shelling count out the h-vector of the closure."""
-    delta = cyclic_boundary(2 * k, n)
     for a in enumerate_antichains(k, n, must_contain=max_slope_element(k, n)):
         b = relative_ball(a.to_pair_facets())
         fresh = Complex._trusted(b.maximal_faces)
-        assert assert_patch_matches_the_full_checks(delta, b, n).shelled, b.facets
+        if n > 2 * k:
+            patch = assert_patch_matches_the_full_checks(cyclic_boundary(2 * k, n), b, n)
+            assert patch.shelled, b.facets
         assert ball_sanity(fresh).verdict is True, b.facets
         entry = construct._entry("odd", k, n, a)
         assert entry.certificates[-1] == sphere_sanity(boundary_complex(fresh))
