@@ -523,6 +523,8 @@ def test_census_walks_each_ball_once_and_checks_the_ambient_once(monkeypatch, pa
     assert all(c is fresh for c, _ in within)
     assert (eliminations > 0) == (parity == "even")
     assert fresh._derived.closed is True and fresh._derived.links_connected is True
+    # the shelling steps' pairs are the ambient's, kept on its record
+    assert fresh._derived.steps is not None
 
 
 def counting_eliminations(monkeypatch, call):
