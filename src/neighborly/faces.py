@@ -22,10 +22,11 @@ the bitmask of the facets holding it.  `in` and `link` read it off
 directly.  The faces themselves are enumerated by one walk, one size at a
 time, each size in lexicographic order: a face extends by each later
 vertex that keeps the AND non-zero.  The f-vector counts the walk's
-levels, `all_faces` lists them, and `verify` reads its neighborliness and
-stackedness certificates off them.  Given a mask of facets, the walk keeps
-the faces whose AND meets it: the faces of the subcomplex those facets
-generate, walked on the whole complex's masks.
+levels, `all_faces` lists them, `verify` reads neighborliness off the
+length of one level, and stackedness off the f-vectors of a ball and of
+its boundary.  The walk reads the masks of one complex only.  Given a mask
+of facets, it keeps the faces whose AND meets it: the faces of the
+subcomplex those facets generate, walked on the whole complex's masks.
 
 `_ridge_holders` holds the mask of the facets holding each ridge F - v of
 each facet F.  The ridge map, the boundary, whether the complex is a closed
@@ -256,35 +257,28 @@ def _holding(c: Complex, vertices: Iterable[int]) -> int:
     return meet
 
 
-def _walk(c: Complex, second: Complex | None = None,
-          within: int = -1) -> Iterator[list[tuple[int, int, int]]]:
+def _walk(c: Complex, within: int = -1) -> Iterator[list[tuple[int, int]]]:
     """The faces of c one size at a time, from the empty face up to the
     facets of the largest size, each level in lexicographic order.
 
-    A face is held as (the AND of its vertices' masks in c, the AND of
-    their masks in the second complex, the index in c's sorted vertices of
-    the first vertex that may follow it).  The second AND is not zero
-    exactly for the faces of the second complex; without one it is 0 above
-    the empty face.  A face extends by each later vertex that keeps the
-    first AND non-zero inside the facet mask `within`, so no level holds a
-    vertex set that is not a face of the subcomplex of c generated by the
-    facets in `within`; every facet by default.
+    A face is held as (the AND of its vertices' masks, the index in c's
+    sorted vertices of the first vertex that may follow it).  A face extends
+    by each later vertex that keeps the AND non-zero inside the facet mask
+    `within`, so no level holds a vertex set that is not a face of the
+    subcomplex of c generated by the facets in `within`; every facet by
+    default.
     """
     verts = c.vertices
     own = list(map(vertex_masks(c).__getitem__, verts))
-    other = ([0] * len(verts) if second is None
-             else list(map(vertex_masks(second).get, verts, repeat(0))))
-    # later[j]: each vertex from the j-th on, as its mask in c, its mask in
-    # the second complex and the index after it; lists, because tuples of
-    # every length would fill the interpreter's per-length free lists and
-    # raise a census's peak memory
-    later = [list(zip(own[j:], other[j:], range(j + 1, len(verts) + 1)))
-             for j in range(len(verts) + 1)]
-    level = [(-1, -1, 0)]
+    # later[j]: each vertex from the j-th on, as its mask and the index after
+    # it; lists, because tuples of every length would fill the interpreter's
+    # per-length free lists and raise a census's peak memory
+    later = [list(zip(own[j:], range(j + 1, len(verts) + 1))) for j in range(len(verts) + 1)]
+    level = [(-1, 0)]
     while level:
         yield level
-        level = [(meet, rest & mask2, after) for mask, rest, start in level
-                 for mask1, mask2, after in later[start] if (meet := mask & mask1) & within]
+        level = [(meet, after) for mask, start in level
+                 for mask1, after in later[start] if (meet := mask & mask1) & within]
 
 
 def all_faces(c: Complex, k: int) -> frozenset[Face]:
@@ -502,7 +496,7 @@ def links_strongly_connected(c: Complex) -> bool:
         every = (1 << len(holders)) - 1  # the walk gives the empty face -1
         record.links_connected = all(
             _connected(holders, meet & every)
-            for level in islice(_walk(c), c.dimension) for meet, _, _ in level)
+            for level in islice(_walk(c), c.dimension) for meet, _ in level)
     return record.links_connected
 
 

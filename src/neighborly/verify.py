@@ -97,11 +97,11 @@ def is_i_neighborly(c: Complex, i: int, vertex_set: Iterable[int]) -> Certificat
 def is_r_stacked(b: Complex, r: int) -> Certificate:
     """Is every face of dimension at most dim-r-1 a boundary face of the ball b?
 
-    It is decided two ways: a walk over the faces of b up to size dim-r,
-    with the boundary as the second complex, finds no face whose AND of
-    boundary masks is zero, and, from the f-vector, h_i = 0 for i > r; the
-    two must agree.  The witness, sought only on failure, is the least face
-    of the smallest size that is not a boundary face.
+    It is decided two ways: b and its boundary have as many faces of each
+    size up to dim-r, and, from the f-vector, h_i = 0 for i > r; the two
+    must agree.  The boundary's faces are faces of b, so equal counts mean
+    equal levels.  The witness, sought only on failure, is the least face
+    of the first size whose counts differ that is not a boundary face.
     """
     if b.is_void or not b.is_pure:
         raise ValueError("stackedness requires a pure non-void complex")
@@ -112,10 +112,11 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     if bd.is_empty and len(b.maximal_faces) > 1:
         raise ValueError("closed complex")
     dim = b.dimension
-    missing = next((size for size, level in enumerate(islice(_walk(b, bd), max(dim - r + 1, 0)))
-                    if not all(rest for _, rest, _ in level)), None)
+    # a non-empty boundary has faces of every size up to dim, and a point's has the empty face
+    counts, bd_counts = f_vector(b), f_vector(bd)
+    missing = next((size for size in range(dim - r + 1) if counts[size] != bd_counts[size]), None)
     by_skeleton = missing is None
-    h = h_vector(f_vector(b), dim + 1)
+    h = h_vector(counts, dim + 1)
     by_h = all(x == 0 for x in h[r + 1:])
     if by_skeleton != by_h:
         raise RuntimeError(
@@ -147,16 +148,6 @@ def _step(pairs: Iterable[tuple[int, int]], placed: int) -> int | None:
     return None if meet & placed else size
 
 
-def _restriction_sizes(c: Complex, order: Iterable[Face]) -> Iterator[int | None]:
-    """`_step` of each facet of the order after the facets before it."""
-    steps = dict(zip(c.facets, enumerate(_step_pairs(c))))
-    placed = 0
-    for f in order:
-        j, pairs = steps[f]
-        yield _step(pairs, placed)
-        placed |= 1 << j
-
-
 def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
     """Check a proposed shelling order of the facets of a pure complex.
 
@@ -168,9 +159,13 @@ def is_shelling(c: Complex, order: Iterable[Face]) -> Certificate:
     order = tuple(tuple(sorted(f)) for f in order)
     if sorted(order) != sorted(c.facets):
         raise ValueError("order is not a permutation of the facets")
-    for idx, size in enumerate(_restriction_sizes(c, order)):
-        if size is None:
+    steps = dict(zip(c.facets, enumerate(_step_pairs(c))))
+    placed = 0
+    for idx, f in enumerate(order):
+        j, pairs = steps[f]
+        if _step(pairs, placed) is None:
             return Certificate("shellable", False, witness=idx)
+        placed |= 1 << j
     return Certificate("shellable", True, witness=list(order))
 
 
@@ -306,9 +301,11 @@ def ball_sanity(c: Complex) -> Certificate:
     """Necessary conditions for a ball: pseudomanifold with non-empty boundary,
     connected, trivial mod-2 homology, and a boundary passing sphere_sanity.
 
-    Connectivity is the star of the empty face, searched as every face link
-    is (a ball pinched at a vertex has the homology of a point), and whether
-    c is closed is read off the boundary that is certified anyway.
+    Whether a ridge lies in three or more facets is read off the ridge
+    holders, and the ridge map is built only for the witness.  Connectivity
+    is the star of the empty face, searched as every face link is (a ball
+    pinched at a vertex has the homology of a point), and whether c is
+    closed is read off the boundary that is certified anyway.
     """
     if c.is_void:
         raise ValueError("void complex")
@@ -317,9 +314,9 @@ def ball_sanity(c: Complex) -> Certificate:
     name = "ball-homology"
     if c.is_empty:
         return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
-    for r, ms in ridge_facets(c).items():
-        if len(ms) > 2:
-            return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
+    if any(h.bit_count() > 2 for held in _ridge_holders(c) for h in held):
+        r, ms = next((r, ms) for r, ms in ridge_facets(c).items() if len(ms) > 2)
+        return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
     boundary = boundary_complex(c)
     # a point's boundary is the empty complex too, but one facet is never closed
     if boundary.is_empty and len(c.maximal_faces) > 1:

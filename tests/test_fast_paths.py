@@ -319,9 +319,11 @@ def stacked_outcome(b, r):
     return cert.verdict, cert.witness
 
 
-# census balls and spheres, half-facet subcomplexes of them, and seeded
+# census balls and spheres, half-facet subcomplexes of them, a point (whose
+# boundary is the empty complex), a simplex, two points (closed), and seeded
 # random pure, mixed and non-pure complexes
 WALK_CORPUS = (CENSUS + ODD_CENSUS + HALVES + NON_PURE + [Complex.empty()]
+               + [Complex(frozenset(f)) for f in (((1,),), ((1, 2, 3, 4),), ((1,), (2,)))]
                + random_complexes(31, 150, pure=True) + random_complexes(32, 150, pure=False))
 
 
@@ -344,7 +346,7 @@ def test_face_walk_matches_closure_and_level_references():
                 assert (cert.verdict, cert.witness) == want, (c.facets, i, vertex_set)
                 seen.add(("neighborly", want[0]))
         if c.is_pure:
-            for r in range(c.dimension + 1):
+            for r in range(c.dimension + 2):
                 want = stacked_by_levels(Complex._trusted(c.maximal_faces), r)
                 assert stacked_outcome(c, r) == want, (c.facets, r)
                 seen.add(("stacked", want if isinstance(want, type) else want[0]))
@@ -495,6 +497,7 @@ def test_census_builds_no_masks_or_holders_of_a_ball(monkeypatch, parity):
         assert is_r_stacked(ball, 2).verdict is True
         assert ball._derived.ridges is None and ball._derived.holders is not None
         assert boundary_complex(ball)._derived.ridges is None
+        assert ball_sanity(ball).verdict is True and ball._derived.ridges is None
 
 
 @pytest.mark.parametrize("parity, whole", [("even", 2), ("odd", 1)])
@@ -509,9 +512,9 @@ def test_census_walks_each_ball_once_and_checks_the_ambient_once(monkeypatch, pa
     real = faces._walk
     walks = []
 
-    def counting(c, second=None, within=-1):
+    def counting(c, within=-1):
         walks.append((c, within))
-        return real(c, second, within)
+        return real(c, within)
     monkeypatch.setattr(faces, "_walk", counting)
     monkeypatch.setattr(verify, "_walk", counting)
     entries, eliminations = counting_eliminations(
