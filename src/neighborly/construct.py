@@ -1,24 +1,25 @@
 """Sewing balls into spheres, and censuses of highly neighborly spheres.
 
 Sewing replaces a full-dimensional ball inside a sphere by the cone over
-the ball's boundary from a fresh vertex.  The even census runs over the
-antichains through the distinguished grid point, builds each relative
-ball inside the boundary of an even-dimensional cyclic polytope, and sews;
-the odd census takes boundaries of the squeezed balls directly.  Every
-entry carries certificates that are checked at generation time.
+the ball's boundary from a fresh vertex.  Both censuses run over the
+antichains through the distinguished grid point and build each relative
+ball as a bitmask of the facets of the boundary of an even-dimensional
+cyclic polytope; the even census sews it in, the odd census takes its
+boundary.  Every entry carries certificates that are checked at
+generation time.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import le, or_
 from typing import Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
-from .faces import Complex, boundary_complex, links_strongly_connected
-from .posets import Antichain, enumerate_antichains, max_slope_element
-from .squeezed import relative_ball
+from .faces import Complex, Face, boundary_complex, links_strongly_connected
+from .posets import Antichain, enumerate_antichains, max_slope_element, pair_facets, shift_down
 from .verify import (
     Certificate,
     _Patch,
@@ -49,8 +50,9 @@ def sew(delta: Complex, b: Complex, new_vertex: int, *, patch: _Patch | None = N
 
     b must be a full-dimensional proper subcomplex of delta and a ball,
     delta must pass `sphere_sanity`, and the new vertex must be unused.  The
-    ball is certified on delta's record by `verify._patch(delta, b)`, made
-    here unless the caller passes the one it made as `patch` (the census
+    ball is certified on delta's record by `verify._patch` on the bitmask of
+    b's facets among delta's sorted facets, made here when b's facets are
+    delta's, unless the caller passes the one it made as `patch` (the census
     reads the ball's own certificates off it too): by a shelling, whose
     shelled b is a PL ball whose boundary is a PL sphere (Danaraj and Klee,
     "Shellings of spheres and polytopes", 1974), and it is contractible
@@ -107,8 +109,9 @@ def sew(delta: Complex, b: Complex, new_vertex: int, *, patch: _Patch | None = N
     sphere_cert = sphere_sanity(delta)
     if sphere_cert.verdict is not True:
         raise ValueError(f"ambient complex fails sphere sanity: {sphere_cert.witness}")
-    if patch is None:
-        patch = _patch(delta, b)
+    if patch is None and not b.is_void and b.maximal_faces <= delta.maximal_faces:
+        ours = b.maximal_faces
+        patch = _patch(delta, sum(1 << j for j, f in enumerate(delta.facets) if f in ours))
     if patch is None or not patch.shelled:
         ball_cert = ball_sanity(b)
         if ball_cert.verdict is not True:
@@ -131,22 +134,30 @@ def sew(delta: Complex, b: Complex, new_vertex: int, *, patch: _Patch | None = N
     return result
 
 
-def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
+def _entry(parity: str, k: int, n: int, down: dict[Face, int], a: Antichain) -> CensusEntry:
     """Build and certify one census entry; the parity picks only the sphere step.
 
-    The ball B is a set of facets of the ambient sphere delta =
-    `cyclic_boundary(2k, n)` in both parities, and it is certified on
-    delta's record by `verify._patch`: one shelling search and one walk of
-    B's faces give its shelling certificate, its boundary, and the verdicts
-    of its neighborliness and stackedness certificates.  B's boundary faces
-    are the faces of B that lie in a facet of delta outside B; `sew` proves
-    it from the link condition, which `verify._patch` checks on delta, once
-    per complex, with whether delta is a closed pseudomanifold.  The odd
-    census needs nothing more of delta, and skips its homology.  The full
-    checks (`ball_sanity`, `sphere_sanity`, `is_i_neighborly` and
-    `is_r_stacked`) run for each certificate that cannot be read off the
-    patch as True, and for every certificate when there is no delta (odd,
-    n = 2k) or the patch cannot be given.
+    The ball B is a bitmask of the facets of the ambient sphere delta =
+    `cyclic_boundary(2k, max(n, 2k+1))` in both parities.  Every pair facet
+    on [n] is a facet of delta (Gale's evenness condition), and at n = 2k
+    delta is the boundary of the 2k-simplex, which holds the one pair facet.
+    B is the order ideal of the antichain S less that of S shifted down,
+    and an ideal is the union of its elements' down-sets, so B's bits are
+    the OR of `down[x]` over x in S, less the OR over shift S: `down` maps
+    each pair facet x to the mask of the pair facets below it (`census`).
+    `CensusEntry.ball` is decoded from the bits.
+
+    B is certified on delta's record by `verify._patch`: one shelling
+    search and one walk of B's faces give its shelling certificate, its
+    boundary, and the verdicts of its neighborliness and stackedness
+    certificates.  B's boundary faces are the faces of B that lie in a
+    facet of delta outside B; `sew` proves it from the link condition,
+    which `verify._patch` checks on delta, once per complex, with whether
+    delta is a closed pseudomanifold.  The odd census needs nothing more of
+    delta, and skips its homology.  The full checks (`ball_sanity`,
+    `sphere_sanity`, `is_i_neighborly` and `is_r_stacked`) run for each
+    certificate that cannot be read off the patch as True, and for every
+    certificate when the patch cannot be given.
 
     A sphere that `sew` returns passes `sphere_sanity`, so a sewn sphere's
     sanity certificate is not computed again.  The odd sphere is the
@@ -175,10 +186,11 @@ def _entry(parity: str, k: int, n: int, a: Antichain) -> CensusEntry:
         cone face.
     """
     s = a.to_pair_facets()
-    ball = relative_ball(s)
-    # the cyclic 2k-polytope needs more than 2k vertices
-    delta = cyclic_boundary(2 * k, n) if n > 2 * k else Complex.void()
-    patch = _patch(delta, ball)
+    delta = cyclic_boundary(2 * k, max(n, 2 * k + 1))
+    upper, lower = (reduce(or_, map(down.__getitem__, t), 0) for t in (s, shift_down(s)))
+    bits = upper & ~lower
+    ball = Complex._trusted(frozenset(f for j, f in enumerate(delta.facets) if bits >> j & 1))
+    patch = _patch(delta, bits)
     if parity == "even":
         sphere, degree, top = sew(delta, ball, n + 1, patch=patch), k, n + 1
         sanity = Certificate("sphere-homology", True)
@@ -228,17 +240,24 @@ def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     The parameters are checked on the call, before any entry is built.  So
     is, once, the k-neighborliness of the even census's ambient sphere, on
     which every entry's sphere certificate builds (`_entry`); a RuntimeError
-    says it fails.  With jobs > 1 the entries are built in a pool of that
-    many processes; they come back in the same order as with one.
+    says it fails.  The table of each pair facet's down-set, as a mask of
+    the ambient's facets, is built here once and handed to every entry;
+    each process takes the ambient itself from `cyclic_boundary`.  With
+    jobs > 1 the entries are built in a pool of that many processes; they
+    come back in the same order as with one.
     """
     _check_census(parity, k, n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    delta = cyclic_boundary(2 * k, max(n, 2 * k + 1))
     if parity == "even":
-        ambient = is_i_neighborly(cyclic_boundary(2 * k, n), k, range(1, n + 1))
+        ambient = is_i_neighborly(delta, k, range(1, n + 1))
         if ambient.verdict is not True:
             raise RuntimeError(f"ambient sphere is not {k}-neighborly: {ambient.witness}")
-    return _stream(partial(_entry, parity, k, n), _family(k, n), jobs)
+    own = {f: 1 << j for j, f in enumerate(delta.facets)}
+    pairs = pair_facets(k, 1, n)
+    down = {x: sum(own[y] for y in pairs if all(map(le, y, x))) for x in pairs}
+    return _stream(partial(_entry, parity, k, n, down), _family(k, n), jobs)
 
 
 def _stream(entry: Callable[[Antichain], CensusEntry], family: Iterator[Antichain],

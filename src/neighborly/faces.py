@@ -45,9 +45,9 @@ maximal.  Input from outside the program is checked where it enters:
 one another, `Complex.from_facets` canonicalises each face and keeps the
 maximal ones, and `parse_complex` checks the facet file.  Everything built
 here from canonical parts (links, joins, complements, intersections,
-boundaries, cyclic boundaries, the balls of `squeezed` and the sewn spheres
-of `construct`, and unpickled complexes) goes through the private unchecked
-constructor `Complex._trusted`.
+boundaries, cyclic boundaries, the balls of `squeezed`, the census balls
+and sewn spheres of `construct`, and unpickled complexes) goes through the
+private unchecked constructor `Complex._trusted`.
 """
 
 from __future__ import annotations

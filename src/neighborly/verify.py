@@ -9,13 +9,13 @@ disagreement raises instead of picking a side.
 
 A shelling step is tested by its restriction face on the facet and ridge
 masks of `faces`, in O(d) operations.  The census certifies each ball as a
-set of facets of its ambient sphere, on the ambient's record (`_patch`):
-one greedy shelling certifies the ball, and its boundary as a sphere, in
-place of the homology of `ball_sanity` and `sphere_sanity`, and one walk
-of the ball's faces, on the ambient's masks, gives its f-vector, its
-neighborliness and both sides of its stackedness.  The full checks stay
-for outside input, and run for any certificate the patch does not give as
-True.
+bitmask of the facets of its ambient sphere, on the ambient's record
+(`_patch`): one greedy shelling certifies the ball, and its boundary as a
+sphere, in place of the homology of `ball_sanity` and `sphere_sanity`,
+and one walk of the ball's faces, on the ambient's masks, gives its
+f-vector, its neighborliness and both sides of its stackedness.  The full
+checks stay for outside input, and run for any certificate the patch does
+not give as True.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .faces import (
     Complex,
     Face,
     FVector,
+    HVector,
     _closed,
     _holding,
     _ridge_holders,
@@ -339,24 +340,25 @@ class _Patch:
     boundary: frozenset[Face]  # the facets of the boundary of b: its ridges in one facet of b
     shelled: bool  # b is a PL ball whose boundary is a PL sphere
     f_vector: FVector  # b's
+    h_vector: HVector  # b's, from its f-vector
     interior: int  # the size of the smallest face of b that is not a boundary face
 
     def neighborly(self, i: int, vertex_count: int) -> bool:
         """`is_i_neighborly`'s verdict on b, for a vertex set of that size."""
-        return i < len(self.f_vector) and self.f_vector[i] == comb(vertex_count, i)
+        return (self.f_vector[i] if i < len(self.f_vector) else 0) == comb(vertex_count, i)
 
     def stacked(self, r: int) -> bool:
         """Do both sides of `is_r_stacked(b, r)` hold?"""
         d = len(self.f_vector) - 1
-        return self.interior >= d - r and not any(h_vector(self.f_vector, d)[r + 1:])
+        return self.interior >= d - r and not any(self.h_vector[r + 1:])
 
 
-def _patch(delta: Complex, b: Complex) -> _Patch | None:
-    """Certify b on the record of delta, with b held as the bitmask `bits`
-    of its facets among delta's sorted facets; None when delta is no closed
-    pseudomanifold whose face links are strongly connected, or b is not a
-    non-empty proper set of delta's facets.  Callers then run the full
-    checks, and they run them too for any verdict that is not True.
+def _patch(delta: Complex, bits: int) -> _Patch | None:
+    """Certify the ball b of the facets in the bitmask `bits` of delta's
+    sorted facets, on the record of delta; None when delta is no closed
+    pseudomanifold whose face links are strongly connected, or `bits` holds
+    every facet of delta.  `bits` must hold some facet.  Callers then run
+    the full checks, and they run them too for any verdict that is not True.
 
     - Every ridge of b is a ridge of delta, so it lies in at most two facets
       of b, and the boundary of b is the set of ridges F - v of b's facets
@@ -381,13 +383,12 @@ def _patch(delta: Complex, b: Complex) -> _Patch | None:
     (Bjorner, "Topological methods", 1995).  So `ball_sanity(b)` and
     `sphere_sanity(boundary_complex(b))` pass when b is shelled.
     """
-    if (delta.is_void or delta.is_empty or b.is_void or not delta.is_pure
+    if (delta.is_empty or not delta.is_pure
             or not _closed(delta) or not links_strongly_connected(delta)):
         return None
     facets = delta.facets
-    bits = sum(1 << j for j, f in enumerate(facets) if f in b.maximal_faces)
     outside = ((1 << len(facets)) - 1) & ~bits
-    if bits.bit_count() != len(b.maximal_faces) or not outside:
+    if not outside:
         return None
     holders = _ridge_holders(delta)
     boundary = frozenset(f[:i] + f[i + 1:] for j, f in enumerate(facets) if (own := 1 << j) & bits
@@ -401,6 +402,6 @@ def _patch(delta: Complex, b: Complex) -> _Patch | None:
     verdict, order = _shell(_step_pairs(delta), bits, bits.bit_count())
     sizes = [size for _, size in order]
     d = len(counts) - 1
-    shelled = (verdict is True and d not in sizes
-               and tuple(map(sizes.count, range(d + 1))) == h_vector(tuple(counts), d))
-    return _Patch(boundary, shelled, tuple(counts), interior)
+    h = h_vector(tuple(counts), d)
+    shelled = verdict is True and d not in sizes and tuple(map(sizes.count, range(d + 1))) == h
+    return _Patch(boundary, shelled, tuple(counts), h, interior)

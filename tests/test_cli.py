@@ -230,7 +230,7 @@ def test_census_failing_mid_run_leaves_no_manifest(tmp_path, monkeypatch, capsys
         return replace(cert, verdict=False) if len(calls) == 3 else cert
 
     # with no patch certificate, every entry runs the full stackedness check
-    monkeypatch.setattr(construct, "_patch", lambda delta, b: None)
+    monkeypatch.setattr(construct, "_patch", lambda delta, bits: None)
     monkeypatch.setattr(construct, "is_r_stacked", fails_on_third_entry)
     code = run(["census", "--parity", "odd", "--k", "2", "--n", "8", "--out", str(out_dir)])
     assert code == 1
@@ -256,7 +256,7 @@ def test_census_over_an_earlier_run_leaves_only_its_own_files(tmp_path, monkeypa
 
     # a run that fails on its first entry leaves no manifest
     real = construct.is_r_stacked
-    monkeypatch.setattr(construct, "_patch", lambda delta, b: None)
+    monkeypatch.setattr(construct, "_patch", lambda delta, bits: None)
     monkeypatch.setattr(construct, "is_r_stacked",
                         lambda c, r: replace(real(c, r), verdict=False))
     assert run(odd + ["--n", "8"]) == 1

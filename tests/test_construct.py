@@ -150,16 +150,20 @@ def test_census_spheres_are_pairwise_distinct():
 
 
 def test_census_builds_entries_on_demand(monkeypatch):
-    real = construct.relative_ball
-    built = []
+    """Taking the first entry certifies one ball, and no other."""
+    real = construct._patch
+    certified = []
 
-    def counted(s):
-        built.append(s)
-        return real(s)
+    def counted(delta, bits):
+        certified.append(bits)
+        return real(delta, bits)
 
-    monkeypatch.setattr(construct, "relative_ball", counted)
-    first = next(census("odd", 3, 9))
-    assert built == [first.antichain]
+    monkeypatch.setattr(construct, "_patch", counted)
+    stream = census("odd", 3, 9)
+    assert certified == []
+    first = next(stream)
+    delta = cyclic_boundary(6, 9)
+    assert certified == [sum(1 << delta.facets.index(f) for f in first.ball.maximal_faces)]
 
 
 def test_census_parameter_guards():

@@ -12,11 +12,13 @@ certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
 from down-sets, the shelling step on facet bitmasks against gap and meet
 references, `is_shelling` against the gap reference, the shelling search
-on its own stack against a recursive one, each census ball's patch in its
-ambient (shelling certificate, boundary, f-vector, neighborliness and
-stackedness from one walk) against the full checks, with the walks and
-eliminations a census runs, its fallbacks to the full checks and the masks
-and holders of its balls it never builds, intersections by pairwise meets
+on its own stack against a recursive one, each census ball decoded from
+its mask of the ambient's facets against the relative ball, each census
+ball's patch in its ambient (shelling certificate, boundary, f-vector,
+h-vector, neighborliness and stackedness from one walk) against the full
+checks, with the walks and eliminations a census runs, its fallbacks to
+the full checks and the masks and holders of its balls it never builds,
+intersections by pairwise meets
 and antichain enumeration over comparability masks; every unchecked result against the checked
 constructor; and the derived record staying out of equality, hashing,
 repr and pickles."""
@@ -670,8 +672,9 @@ def test_failed_ball_certificate_falls_back_to_the_full_sphere_check(monkeypatch
     checked = recording_neighborliness(monkeypatch)
     # the patch cannot decide that ball, so the full stackedness check runs
     real_patch = construct._patch
-    monkeypatch.setattr(construct, "_patch", lambda delta, b: (
-        None if b == bad.ball else real_patch(delta, b)))
+    bad_bits = facet_mask(cyclic_boundary(6, 9), bad.ball)
+    monkeypatch.setattr(construct, "_patch", lambda delta, bits: (
+        None if bits == bad_bits else real_patch(delta, bits)))
     real = construct.is_r_stacked
     monkeypatch.setattr(construct, "is_r_stacked", lambda b, r: (
         Certificate(f"stacked({r})", False) if b == bad.ball else real(b, r)))
@@ -1237,14 +1240,20 @@ BALL_GRID = ([(2, n) for n in range(4, 11)] + [(3, n) for n in range(6, 12)]
              + [(4, n) for n in range(8, 12)])
 
 
+def facet_mask(delta, b):
+    """The bitmask of b's facets among delta's sorted facets, by a scan."""
+    return sum(1 << j for j, f in enumerate(delta.facets) if f in b.maximal_faces)
+
+
 def assert_patch_matches_the_full_checks(delta, b, vertex_count):
     """The patch of b in delta against the full checks on a fresh copy of b:
-    its boundary, f-vector, and neighborliness and stackedness verdicts for
-    every degree, with the size of the stackedness witness."""
-    patch = verify._patch(delta, b)
+    its boundary, f-vector, h-vector, and neighborliness and stackedness
+    verdicts for every degree, with the size of the stackedness witness."""
+    patch = verify._patch(delta, facet_mask(delta, b))
     fresh = Complex._trusted(b.maximal_faces)
     assert patch.boundary == boundary_complex(fresh).maximal_faces
     assert patch.f_vector == f_vector(fresh)
+    assert patch.h_vector == h_vector(f_vector(fresh), len(patch.f_vector) - 1)
     for i in range(1, len(patch.f_vector) + 1):
         assert patch.neighborly(i, vertex_count) == (
             is_i_neighborly(fresh, i, range(1, vertex_count + 1)).verdict), i
@@ -1259,22 +1268,35 @@ def assert_patch_matches_the_full_checks(delta, b, vertex_count):
     return patch
 
 
+@pytest.mark.parametrize("k, n", [(3, 12), (4, 12)])
+def test_census_ball_from_its_mask_is_the_relative_ball(k, n):
+    """Each census ball, decoded from the mask its antichain gives over the
+    ambient's facets, is the relative ball built from the antichain by
+    order ideals; `test_patch_matches_the_full_checks` checks the smaller
+    censuses, n = 2k included."""
+    entries = list(odd_census(k, n))
+    assert entries
+    for e in entries:
+        assert e.ball == relative_ball(e.antichain), e.antichain.elements
+
+
 @pytest.mark.parametrize("k, n", BALL_GRID)
 def test_patch_matches_the_full_checks(k, n):
-    """The patch of each census ball in its cyclic boundary gives the full
-    checks' boundary, f-vector, neighborliness and stackedness and shells
-    the ball; there is no cyclic boundary, and so no patch, at n = 2k.  The
-    full ball check passes every ball, and the entry's odd sphere
-    certificate equals the full check.  The sizes of the restriction faces
-    of the greedy shelling count out the h-vector of the closure."""
-    for a in enumerate_antichains(k, n, must_contain=max_slope_element(k, n)):
-        b = relative_ball(a.to_pair_facets())
+    """The patch of each census ball in its cyclic boundary, the boundary of
+    the 2k-simplex at n = 2k, gives the full checks' boundary, f-vector,
+    neighborliness and stackedness and shells the ball, which the entry
+    decodes from its mask as the relative ball.  The full ball check passes
+    every ball, and the entry's odd sphere certificate equals the full
+    check.  The sizes of the restriction faces of the greedy shelling count
+    out the h-vector of the closure."""
+    delta = cyclic_boundary(2 * k, max(n, 2 * k + 1))
+    for entry in odd_census(k, n):
+        b = relative_ball(entry.antichain)
+        assert entry.ball == b, entry.antichain.elements
         fresh = Complex._trusted(b.maximal_faces)
-        if n > 2 * k:
-            patch = assert_patch_matches_the_full_checks(cyclic_boundary(2 * k, n), b, n)
-            assert patch.shelled, b.facets
+        patch = assert_patch_matches_the_full_checks(delta, b, n)
+        assert patch.shelled, b.facets
         assert ball_sanity(fresh).verdict is True, b.facets
-        entry = construct._entry("odd", k, n, a)
         assert entry.certificates[-1] == sphere_sanity(boundary_complex(fresh))
         order = find_shelling(b, len(b.facets)).witness
         sizes = [len(slow_restriction(f, order[:j])) for j, f in enumerate(order)]
@@ -1300,9 +1322,9 @@ def test_patch_passes_only_balls():
     """On random facet sets of spheres and surfaces, the patch agrees with
     the full checks, and a facet set it shells passes the full ball check,
     with a boundary passing the sphere check.  Two facets sharing one
-    vertex are refused, and no patch is given for the whole ambient, for a
-    set that is not the ambient's, or in an ambient that is not closed or
-    fails the link condition."""
+    vertex are refused, and no patch is given for the whole ambient, or in
+    an ambient that is not closed or fails the link condition.  A set that
+    is not the ambient's, or no set at all, has no mask: `sew` refuses it."""
     passed = failed = 0
     for seed, delta in enumerate(AMBIENTS):
         assert links_strongly_connected(delta)
@@ -1318,13 +1340,15 @@ def test_patch_passes_only_balls():
     delta = cyclic_boundary(3, 6)
     wedge = Complex.from_facets([(1, 2, 3), (3, 4, 6)])
     assert wedge.maximal_faces <= delta.maximal_faces
-    assert not verify._patch(delta, wedge).shelled
+    assert not verify._patch(delta, facet_mask(delta, wedge)).shelled
     assert ball_sanity(wedge).verdict is False
-    for delta, b in [(delta, delta), (delta, Complex.from_facets([(1, 2, 7)])),
-                     (delta, Complex.void()), (Complex.void(), wedge),
+    for delta, b in [(delta, delta),
                      (Complex.from_facets(TORUS[:-1]), Complex.from_facets(TORUS[:1])),
                      (PINCHED_COMPLEXES[0], Complex.from_facets(PINCHED_COMPLEXES[0].facets[:1]))]:
-        assert verify._patch(delta, b) is None
+        assert verify._patch(delta, facet_mask(delta, b)) is None
+    for b in (Complex.from_facets([(1, 2, 7)]), Complex.void()):
+        with pytest.raises(ValueError):
+            sew(cyclic_boundary(3, 6), b, 8)
 
 
 def scan_enumerate_antichains(k, n, must_contain=None):
