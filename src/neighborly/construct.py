@@ -14,12 +14,19 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import le, or_
+from operator import or_
 from typing import Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
 from .faces import Complex, Face, boundary_complex, links_strongly_connected
-from .posets import Antichain, enumerate_antichains, max_slope_element, pair_facets, shift_down
+from .posets import (
+    Antichain,
+    _down_set,
+    enumerate_antichains,
+    max_slope_element,
+    pair_facets,
+    shift_down,
+)
 from .verify import (
     Certificate,
     _Patch,
@@ -50,7 +57,7 @@ def sew(delta: Complex, b: Complex, new_vertex: int, *, patch: _Patch | None = N
 
     b must be a full-dimensional proper subcomplex of delta and a ball,
     delta must pass `sphere_sanity`, and the new vertex must be unused.  The
-    ball is certified on delta's record by `verify._patch` on the bitmask of
+    ball is certified on what delta keeps by `verify._patch` on the bitmask of
     b's facets among delta's sorted facets, made here when b's facets are
     delta's, unless the caller passes the one it made as `patch` (the census
     reads the ball's own certificates off it too): by a shelling, whose
@@ -147,7 +154,7 @@ def _entry(parity: str, k: int, n: int, down: dict[Face, int], a: Antichain) -> 
     each pair facet x to the mask of the pair facets below it (`census`).
     `CensusEntry.ball` is decoded from the bits.
 
-    B is certified on delta's record by `verify._patch`: one shelling
+    B is certified on what delta keeps by `verify._patch`: one shelling
     search and one walk of B's faces give its shelling certificate, its
     boundary, and the verdicts of its neighborliness and stackedness
     certificates.  B's boundary faces are the faces of B that lie in a
@@ -255,8 +262,7 @@ def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
         if ambient.verdict is not True:
             raise RuntimeError(f"ambient sphere is not {k}-neighborly: {ambient.witness}")
     own = {f: 1 << j for j, f in enumerate(delta.facets)}
-    pairs = pair_facets(k, 1, n)
-    down = {x: sum(own[y] for y in pairs if all(map(le, y, x))) for x in pairs}
+    down = {x: sum(own[y] for y in _down_set(x, 2)) for x in pair_facets(k, 1, n)}
     return _stream(partial(_entry, parity, k, n, down), _family(k, n), jobs)
 
 

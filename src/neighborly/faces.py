@@ -7,14 +7,16 @@ face is the *empty complex*.  The two are distinct values and every
 operation here defines its behaviour on both.  All values are immutable
 and all operations are pure functions.
 
-What is derived from a complex's facets (its dimension, purity and
-vertices, the facets in sorted order, each vertex's bitmask of the sorted
-facets holding it, the f-vector, the ridge incidence and the shelling
-steps' masks, the boundary, whether it is a closed pseudomanifold, the
-Betti numbers and whether every face link is strongly connected) is
-computed at most once per complex and kept in a private record attached to
-it.  The record is a cache: it takes no part in equality, hashing, repr or
-pickling.
+What is derived from a complex's facets is computed at most once per
+complex and kept in the complex's instance dict, by one rule: the
+dimension, purity, vertices and sorted facets are cached properties of
+`Complex`, and each function of one complex that keeps its result (each
+vertex's bitmask of the sorted facets holding it, the f-vector, the ridge
+incidence and degrees, the shelling steps' masks, the boundary, the Betti
+numbers and whether every face link is strongly connected) is decorated
+`_kept`.  A call that raises keeps nothing.  What is kept is a cache: it
+takes no part in equality, hashing, repr or pickling, which read
+`maximal_faces` only.
 
 One rule answers every face question: a set of vertices is a face exactly
 when the AND of its vertices' facet masks is not zero, and that AND is
@@ -29,10 +31,11 @@ of facets, it keeps the faces whose AND meets it: the faces of the
 subcomplex those facets generate, walked on the whole complex's masks.
 
 `_ridge_holders` holds the mask of the facets holding each ridge F - v of
-each facet F.  The ridge map, the boundary, whether the complex is a closed
-pseudomanifold and the shelling steps of `verify` (`_step_pairs`) read it,
-and a flood across it decides strong connectivity: over all facets for the
-complex, over those holding each face for its link.
+each facet F.  The ridge map, the ridge degrees (`_ridge_degrees`), which
+decide whether the complex is a pseudomanifold and whether it is closed,
+and the shelling steps of `verify` (`_step_pairs`) read it, and a flood
+across it decides strong connectivity: over all facets for the complex,
+over those holding each face for its link.
 
 The mod-2 homology eliminates over the chain complex relative to the star
 of the vertex in the most facets, whose cells are only the faces outside
@@ -54,16 +57,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
 from math import comb
 from operator import and_, or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Face = tuple[int, ...]
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 def face(vertices: Iterable[int]) -> Face:
@@ -97,27 +101,19 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
     return frozenset(keep)
 
 
-class _Derived:
-    """What is computed from the facets of one complex, each part on first use."""
+def _kept(compute: Callable[[Complex], _T]) -> Callable[[Complex], _T]:
+    """Decorate a function of one complex to keep its result in the
+    complex's instance dict, under the function's name, on first use.  A
+    call that raises keeps nothing, so it raises again on the next call."""
+    name = compute.__name__
 
-    __slots__ = ("dimension", "pure", "vertices", "facets", "masks", "f_vector", "holders",
-                 "steps", "ridges", "boundary", "closed", "betti", "links_connected")
-
-    def __init__(self) -> None:
-        self.dimension: int | None = None
-        self.pure: bool | None = None
-        self.vertices: tuple[int, ...] | None = None  # sorted
-        self.facets: tuple[Face, ...] | None = None  # sorted
-        # vertex -> bitmask of the sorted facets holding it
-        self.masks: Mapping[int, int] | None = None  # read-only
-        self.f_vector: FVector | None = None
-        self.holders: tuple[tuple[int, ...], ...] | None = None  # see _ridge_holders
-        self.steps: tuple[tuple[tuple[int, int], ...], ...] | None = None  # see _step_pairs
-        self.ridges: Mapping[Face, tuple[Face, ...]] | None = None  # read-only
-        self.boundary: Complex | None = None
-        self.closed: bool | None = None  # see _closed
-        self.betti: tuple[int, ...] | None = None
-        self.links_connected: bool | None = None
+    @wraps(compute)
+    def kept(c: Complex) -> _T:
+        store = c.__dict__
+        if name not in store:
+            store[name] = compute(c)
+        return store[name]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -169,41 +165,27 @@ class Complex:
     def is_empty(self) -> bool:
         return self.maximal_faces == frozenset({()})
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         if self.maximal_faces is None:
             raise ValueError("void complex has no dimension")
-        record = self._derived
-        if record.dimension is None:
-            record.dimension = max(map(len, self.maximal_faces)) - 1
-        return record.dimension
+        return max(map(len, self.maximal_faces)) - 1
 
-    @property
+    @cached_property
     def is_pure(self) -> bool:
-        if self.maximal_faces is None:
-            return True
-        record = self._derived
-        if record.pure is None:
-            record.pure = len(set(map(len, self.maximal_faces))) == 1
-        return record.pure
+        return self.maximal_faces is None or len(set(map(len, self.maximal_faces))) == 1
 
-    @property
+    @cached_property
     def facets(self) -> tuple[Face, ...]:
         if self.maximal_faces is None:
             raise ValueError("void complex has no facets")
-        record = self._derived
-        if record.facets is None:
-            record.facets = tuple(sorted(self.maximal_faces))
-        return record.facets
+        return tuple(sorted(self.maximal_faces))
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         if self.maximal_faces is None:
             raise ValueError("void complex has no vertices")
-        record = self._derived
-        if record.vertices is None:
-            record.vertices = tuple(sorted(set(chain.from_iterable(self.maximal_faces))))
-        return record.vertices
+        return tuple(sorted(set(chain.from_iterable(self.maximal_faces))))
 
     def __contains__(self, f: Iterable[int]) -> bool:
         return _holding(self, f) != 0
@@ -216,16 +198,13 @@ class Complex:
         return f"Complex({len(self.maximal_faces)} facets, dim {self.dimension})"
 
     def __reduce__(self):
-        # pickles carry the facets only, never the derived record; the facets
-        # of an existing complex are canonical already, so they are not
-        # checked again on unpickling
+        # pickles and copies carry the facets only, never what is kept in
+        # the instance dict; the facets of an existing complex are canonical
+        # already, so they are not checked again on unpickling
         return (Complex._trusted, (self.maximal_faces,))
 
-    @cached_property
-    def _derived(self) -> _Derived:
-        return _Derived()
 
-
+@_kept
 def vertex_masks(c: Complex) -> Mapping[int, int]:
     """Map each vertex to the bitmask of the facets holding it, bit j for the
     j-th facet in sorted order.
@@ -234,14 +213,11 @@ def vertex_masks(c: Complex) -> Mapping[int, int]:
     """
     if c.is_void:
         raise ValueError("void has no faces")
-    record = c._derived
-    if record.masks is None:
-        masks: dict[int, int] = {}
-        for bit, f in zip(map((1).__lshift__, range(len(c.facets))), c.facets):
-            for v in f:
-                masks[v] = masks.get(v, 0) | bit
-        record.masks = MappingProxyType(masks)
-    return record.masks
+    masks: dict[int, int] = {}
+    for bit, f in zip(map((1).__lshift__, range(len(c.facets))), c.facets):
+        for v in f:
+            masks[v] = masks.get(v, 0) | bit
+    return MappingProxyType(masks)
 
 
 def _holding(c: Complex, vertices: Iterable[int]) -> int:
@@ -362,14 +338,12 @@ def intersect(a: Complex, b: Complex) -> Complex:
         tuple(filter(sb.__contains__, fa)) for fa in a.maximal_faces for sb in b_sets))
 
 
+@_kept
 def f_vector(c: Complex) -> FVector:
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); f_{-1} = 1 always."""
     if c.is_void:
         raise ValueError("void has no faces")
-    record = c._derived
-    if record.f_vector is None:
-        record.f_vector = tuple(map(len, _walk(c)))
-    return record.f_vector
+    return tuple(map(len, _walk(c)))
 
 
 def h_vector(f: FVector, d: int) -> HVector:
@@ -385,64 +359,68 @@ def h_vector(f: FVector, d: int) -> HVector:
         for j in range(d + 1))
 
 
+@_kept
 def _ridge_holders(c: Complex) -> tuple[tuple[int, ...], ...]:
     """For each facet F in sorted order and each vertex v of F in order, the
     bitmask of the facets holding the ridge F - v: the AND of the masks of
     the vertices before v and after it.  Built once per complex."""
     if c.is_void:
         raise ValueError("void has no faces")
-    record = c._derived
-    if record.holders is None:
-        if not c.is_pure:
-            raise ValueError("ridge counting requires a pure complex")
-        if c.dimension < 0:
-            raise ValueError("no ridges in the empty complex")
-        masks = vertex_masks(c)
-        # not -1: in dimension 0 the ridge () lies in every facet and no other
-        every = (1 << len(c.facets)) - 1
-        table = []
-        for f in c.facets:
-            own = list(map(masks.__getitem__, f))
-            after = list(accumulate(reversed(own), and_, initial=every))[-2::-1]  # after the i-th
-            table.append(tuple(map(and_, accumulate(own, and_, initial=every), after)))
-        record.holders = tuple(table)
-    return record.holders
+    if not c.is_pure:
+        raise ValueError("ridge counting requires a pure complex")
+    if c.dimension < 0:
+        raise ValueError("no ridges in the empty complex")
+    masks = vertex_masks(c)
+    # not -1: in dimension 0 the ridge () lies in every facet and no other
+    every = (1 << len(c.facets)) - 1
+    table = []
+    for f in c.facets:
+        own = list(map(masks.__getitem__, f))
+        after = list(accumulate(reversed(own), and_, initial=every))[-2::-1]  # after the i-th
+        table.append(tuple(map(and_, accumulate(own, and_, initial=every), after)))
+    return tuple(table)
 
 
+@_kept
+def _ridge_degrees(c: Complex) -> frozenset[int]:
+    """The numbers of facets holding a ridge, over the ridges of the pure
+    complex c, read off the ridge holders once per complex: c is a
+    pseudomanifold when none is above 2, and closed when they are {2}.
+    Raises as `_ridge_holders` does."""
+    return frozenset(h.bit_count() for held in _ridge_holders(c) for h in held)
+
+
+@_kept
 def _step_pairs(c: Complex) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each facet F in sorted order, each vertex v of F in order as its
     mask (`vertex_masks`) and the mask of the facets holding F - v
     (`_ridge_holders`): what a shelling step of `verify` reads.  Built once
     per complex; raises as `_ridge_holders` does, but the one facet of the
     empty complex has no vertices, and so no pairs."""
-    record = c._derived
-    if record.steps is None:
-        masks = vertex_masks(c)
-        holders = _ridge_holders(c) if c.dimension >= 0 else [()]
-        record.steps = tuple(tuple(zip(map(masks.__getitem__, f), held))
-                             for f, held in zip(c.facets, holders))
-    return record.steps
+    masks = vertex_masks(c)
+    holders = _ridge_holders(c) if c.dimension >= 0 else [()]
+    return tuple(tuple(zip(map(masks.__getitem__, f), held))
+                 for f, held in zip(c.facets, holders))
 
 
+@_kept
 def ridge_facets(c: Complex) -> Mapping[Face, tuple[Face, ...]]:
     """Map each ridge (codimension-1 face) to the facets containing it.
 
     Ridges appear in the order their first facet comes in sorted facet order,
     leaving out its vertices last to first as `combinations` does, and each
-    ridge's facets in sorted order.  The map is read-only; once built it is
-    returned without checking the complex again.
+    ridge's facets in sorted order.  The map is read-only and built once per
+    complex; raises as `_ridge_holders` does.
     """
     holders = _ridge_holders(c)
-    record = c._derived
-    if record.ridges is None:
-        facets = c.facets
-        record.ridges = MappingProxyType({
-            f[:i] + f[i + 1:]: tuple(facets[k] for k in range(j, h.bit_length()) if h >> k & 1)
-            for j, (f, held) in enumerate(zip(facets, holders))
-            for i in range(len(f) - 1, -1, -1) if (h := held[i]) & -h == 1 << j})
-    return record.ridges
+    facets = c.facets
+    return MappingProxyType({
+        f[:i] + f[i + 1:]: tuple(facets[k] for k in range(j, h.bit_length()) if h >> k & 1)
+        for j, (f, held) in enumerate(zip(facets, holders))
+        for i in range(len(f) - 1, -1, -1) if (h := held[i]) & -h == 1 << j})
 
 
+@_kept
 def boundary_complex(b: Complex) -> Complex:
     """Boundary of a pure complex by the ridge rule.
 
@@ -451,26 +429,12 @@ def boundary_complex(b: Complex) -> Complex:
     there are none (a closed pseudomanifold) and raises when a ridge lies
     in three or more facets.
     """
+    if max(_ridge_degrees(b)) > 2:
+        raise ValueError("not a pseudomanifold")
     holders = _ridge_holders(b)
-    record = b._derived
-    if record.boundary is None:
-        if any(h.bit_count() > 2 for held in holders for h in held):
-            raise ValueError("not a pseudomanifold")
-        bd = frozenset(f[:i] + f[i + 1:] for j, (f, held) in enumerate(zip(b.facets, holders))
-                       for i, h in enumerate(held) if h == 1 << j)
-        record.boundary = Complex._trusted(bd) if bd else Complex.empty()
-    return record.boundary
-
-
-def _closed(c: Complex) -> bool:
-    """Does every ridge of the pure complex c lie in exactly two facets?
-    Read off the ridge holders once per complex; raises as `ridge_facets`
-    does."""
-    holders = _ridge_holders(c)
-    record = c._derived
-    if record.closed is None:
-        record.closed = all(h.bit_count() == 2 for held in holders for h in held)
-    return record.closed
+    bd = frozenset(f[:i] + f[i + 1:] for j, (f, held) in enumerate(zip(b.facets, holders))
+                   for i, h in enumerate(held) if h == 1 << j)
+    return Complex._trusted(bd) if bd else Complex.empty()
 
 
 def strongly_connected(c: Complex) -> bool:
@@ -480,6 +444,7 @@ def strongly_connected(c: Complex) -> bool:
     return _connected(_ridge_holders(c), every)
 
 
+@_kept
 def links_strongly_connected(c: Complex) -> bool:
     """Is the link of every face of the pure complex c strongly connected?
 
@@ -491,13 +456,9 @@ def links_strongly_connected(c: Complex) -> bool:
     which are strongly connected.  Raises as `ridge_facets` does.
     """
     holders = _ridge_holders(c)
-    record = c._derived
-    if record.links_connected is None:
-        every = (1 << len(holders)) - 1  # the walk gives the empty face -1
-        record.links_connected = all(
-            _connected(holders, meet & every)
-            for level in islice(_walk(c), c.dimension) for meet, _ in level)
-    return record.links_connected
+    every = (1 << len(holders)) - 1  # the walk gives the empty face -1
+    return all(_connected(holders, meet & every)
+               for level in islice(_walk(c), c.dimension) for meet, _ in level)
 
 
 def _connected(holders: Sequence[Sequence[int]], within: int) -> bool:
@@ -527,6 +488,7 @@ def _gf2_pivots(columns: Iterable[int]) -> set[int]:
     return set(basis)
 
 
+@_kept
 def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     """Reduced mod-2 Betti numbers in dimensions -1 .. dim(c).
 
@@ -548,13 +510,9 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     """
     if c.is_void:
         raise ValueError("void has no faces")
-    record = c._derived
-    if record.betti is not None:
-        return record.betti
     dim = c.dimension
     if dim < 0:
-        record.betti = (1,)  # the empty complex: the empty face is a cycle
-        return record.betti
+        return (1,)  # the empty complex: the empty face is a cycle
     facets = c.facets
     masks = vertex_masks(c)
     v = min(c.vertices, key=lambda u: -masks[u].bit_count())
@@ -580,9 +538,7 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
                    for j, f in enumerate(cells[s]) if j not in cleared)
         cleared = _gf2_pivots(columns)
         ranks[s] = len(cleared)
-    record.betti = tuple(
-        len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(dim + 2))
-    return record.betti
+    return tuple(len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(dim + 2))
 
 
 _HEADER = re.compile(r"^complex d=(\d+) n=(\d+)$")

@@ -9,7 +9,7 @@ disagreement raises instead of picking a side.
 
 A shelling step is tested by its restriction face on the facet and ridge
 masks of `faces`, in O(d) operations.  The census certifies each ball as a
-bitmask of the facets of its ambient sphere, on the ambient's record
+bitmask of the facets of its ambient sphere, on what the ambient keeps
 (`_patch`): one greedy shelling certifies the ball, and its boundary as a
 sphere, in place of the homology of `ball_sanity` and `sphere_sanity`,
 and one walk of the ball's faces, on the ambient's masks, gives its
@@ -30,8 +30,8 @@ from .faces import (
     Face,
     FVector,
     HVector,
-    _closed,
     _holding,
+    _ridge_degrees,
     _ridge_holders,
     _step_pairs,
     _walk,
@@ -277,7 +277,7 @@ def sphere_sanity(c: Complex) -> Certificate:
     top cycle exactly when it holds both facets of each ridge or neither,
     that is when it is a union of facet-ridge components.  So the top Betti
     number counts the components, and more than one means disconnected.
-    Whether c is a closed pseudomanifold is read off its ridge holders, once
+    Whether c is a closed pseudomanifold is read off its ridge degrees, once
     per complex, and the ridge map is built only for the witness.
     """
     if c.is_void:
@@ -287,7 +287,7 @@ def sphere_sanity(c: Complex) -> Certificate:
     name = "sphere-homology"
     if c.is_empty:
         return Certificate(name, True)  # boundary of a point
-    if not _closed(c):
+    if _ridge_degrees(c) != {2}:
         r, ms = next((r, ms) for r, ms in ridge_facets(c).items() if len(ms) != 2)
         return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
     betti = z2_reduced_betti(c)
@@ -303,7 +303,7 @@ def ball_sanity(c: Complex) -> Certificate:
     connected, trivial mod-2 homology, and a boundary passing sphere_sanity.
 
     Whether a ridge lies in three or more facets is read off the ridge
-    holders, and the ridge map is built only for the witness.  Connectivity
+    degrees, and the ridge map is built only for the witness.  Connectivity
     is the star of the empty face, searched as every face link is (a ball
     pinched at a vertex has the homology of a point), and whether c is
     closed is read off the boundary that is certified anyway.
@@ -315,7 +315,7 @@ def ball_sanity(c: Complex) -> Certificate:
     name = "ball-homology"
     if c.is_empty:
         return Certificate(name, False, witness={"reason": "no facets of dimension >= 0"})
-    if any(h.bit_count() > 2 for held in _ridge_holders(c) for h in held):
+    if max(_ridge_degrees(c)) > 2:
         r, ms = next((r, ms) for r, ms in ridge_facets(c).items() if len(ms) > 2)
         return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
     boundary = boundary_complex(c)
@@ -355,7 +355,7 @@ class _Patch:
 
 def _patch(delta: Complex, bits: int) -> _Patch | None:
     """Certify the ball b of the facets in the bitmask `bits` of delta's
-    sorted facets, on the record of delta; None when delta is no closed
+    sorted facets, on what delta keeps; None when delta is no closed
     pseudomanifold whose face links are strongly connected, or `bits` holds
     every facet of delta.  `bits` must hold some facet.  Callers then run
     the full checks, and they run them too for any verdict that is not True.
@@ -384,7 +384,7 @@ def _patch(delta: Complex, bits: int) -> _Patch | None:
     `sphere_sanity(boundary_complex(b))` pass when b is shelled.
     """
     if (delta.is_empty or not delta.is_pure
-            or not _closed(delta) or not links_strongly_connected(delta)):
+            or _ridge_degrees(delta) != {2} or not links_strongly_connected(delta)):
         return None
     facets = delta.facets
     outside = ((1 << len(facets)) - 1) & ~bits

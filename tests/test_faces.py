@@ -73,7 +73,7 @@ def test_maximal_face_containment_rejected():
 def test_shape_and_ridge_map_are_kept_and_keep_their_errors():
     void, empty = Complex.void(), Complex.empty()
     mixed = Complex.from_facets([(1, 2, 3), (3, 4)])
-    for _ in range(2):  # the second round reads the record
+    for _ in range(2):  # the second round reads what the first kept
         with pytest.raises(ValueError, match="void complex has no dimension"):
             void.dimension
         with pytest.raises(ValueError, match="void complex has no vertices"):

@@ -20,9 +20,10 @@ checks, with the walks and eliminations a census runs, its fallbacks to
 the full checks and the masks and holders of its balls it never builds,
 intersections by pairwise meets
 and antichain enumeration over comparability masks; every unchecked result against the checked
-constructor; and the derived record staying out of equality, hashing,
-repr and pickles."""
+constructor; and what a complex keeps staying out of equality, hashing,
+repr and pickles, and being kept once and never after an error."""
 
+import copy
 import pickle
 import random
 from itertools import chain, combinations, product, repeat
@@ -382,8 +383,8 @@ def test_derived_record_stays_out_of_equality_hash_repr_and_pickle():
             assert c == fresh and hash(c) == hash(fresh)
             assert repr(c) == repr(fresh)
             assert len(pickle.dumps(c)) == len(pickle.dumps(fresh))
-            copy = pickle.loads(pickle.dumps(c))
-            assert copy == c and "_derived" not in vars(copy)
+            twin = pickle.loads(pickle.dumps(c))
+            assert twin == c and vars(twin) == {"maximal_faces": c.maximal_faces}
 
 
 # an annulus of six triangles between the triangles 1 2 3 and 4 5 6
@@ -424,6 +425,44 @@ def test_sanity_certificate_from_record_matches_a_fresh_check(check, facets, ver
     assert check(Complex(frozenset(facets))) == first
 
 
+VOID = Complex.void()
+# void, empty and not pure: the complexes with no ridge holders
+REFUSED_RIDGES = [VOID, Complex.empty(), Complex.from_facets([(1, 2, 3), (3, 4)])]
+# each cached property of Complex and each function of faces that keeps its
+# result, with the complexes it refuses
+KEPT = [("dimension", [VOID]), ("is_pure", []), ("facets", [VOID]), ("vertices", [VOID]),
+        (faces.vertex_masks, [VOID]), (f_vector, [VOID]),
+        (faces._ridge_holders, REFUSED_RIDGES), (faces._ridge_degrees, REFUSED_RIDGES),
+        (faces._step_pairs, REFUSED_RIDGES[::2]), (ridge_facets, REFUSED_RIDGES),
+        (boundary_complex, REFUSED_RIDGES + [Complex.from_facets(THREE_ON_A_RIDGE)]),
+        (links_strongly_connected, REFUSED_RIDGES), (z2_reduced_betti, [VOID])]
+
+
+@pytest.mark.parametrize("derive, refused", KEPT,
+                         ids=[getattr(derive, "__name__", derive) for derive, _ in KEPT])
+def test_each_derived_structure_is_kept_once_and_never_after_an_error(derive, refused):
+    """The second call returns the object the first kept under its name; a
+    refused call raises again and keeps nothing; copies and pickles keep
+    nothing but the facets.  The kept functions are those listed, and none
+    shares its name with an attribute of Complex."""
+    kept = {name for name, f in vars(faces).items() if hasattr(f, "__wrapped__")}
+    assert kept == {f.__name__ for f, _ in KEPT if callable(f)}
+    name = getattr(derive, "__name__", derive)
+    assert callable(derive) != hasattr(Complex, name)
+    get = derive if callable(derive) else lambda c: getattr(c, name)
+    c = Complex(frozenset([(1, 2, 3), (2, 3, 4)]))
+    first = get(c)
+    assert get(c) is first and vars(c)[name] is first
+    for bad in refused:
+        bad = Complex._trusted(bad.maximal_faces)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                get(bad)
+            assert name not in vars(bad)
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c)):
+        assert twin == c and vars(twin) == {"maximal_faces": c.maximal_faces}
+
+
 EVEN_GRID = [(2, n) for n in range(6, 13)] + [(3, n) for n in range(8, 11)] + [(4, 10), (4, 11)]
 
 
@@ -453,19 +492,19 @@ def test_sewn_betti_match_the_ambient_and_full_elimination(k, n):
 def test_sewn_sphere_record_holds_no_ridge_map_or_face_levels(monkeypatch):
     """Under the link condition neither `sew` nor the sewn sphere's
     neighborliness check builds the sphere's ridge map or asks whether it is
-    closed, and the record has no face levels to build; without it `sew`
-    runs `sphere_sanity`, which reads that the sphere is closed off its
-    ridge holders and builds no ridge map for a sphere that passes."""
+    closed, and no face levels are kept; without it `sew` runs
+    `sphere_sanity`, which reads that the sphere is closed off its ridge
+    degrees and builds no ridge map for a sphere that passes."""
     delta = cyclic_boundary(6, 9)
     for ball in even_balls(3, 9):
         sphere = sew(delta, ball, 10)
         assert is_i_neighborly(sphere, 3, range(1, 11)).verdict is True
-        assert sphere._derived.ridges is None and not hasattr(sphere._derived, "faces")
-        assert sphere._derived.closed is None
+        assert "ridge_facets" not in vars(sphere) and "faces" not in vars(sphere)
+        assert "_ridge_degrees" not in vars(sphere)
     monkeypatch.setattr(construct, "links_strongly_connected", lambda c: False)
     for ball in even_balls(3, 9):
-        record = sew(delta, ball, 10)._derived
-        assert record.closed is True and record.ridges is None
+        kept = vars(sew(delta, ball, 10))
+        assert kept["_ridge_degrees"] == {2} and "ridge_facets" not in kept
 
 
 def recording_calls(monkeypatch, module, name, *bindings):
@@ -484,7 +523,7 @@ def recording_calls(monkeypatch, module, name, *bindings):
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_census_builds_no_masks_or_holders_of_a_ball(monkeypatch, parity):
-    """A census entry reads its ball off the ambient's record: it builds no
+    """A census entry reads its ball off what the ambient keeps: it builds no
     vertex masks or ridge holders of the ball or of its boundary, and so no
     ridge map.  The full stackedness check, which runs only when the patch
     cannot decide, reads the ball's ridge holders, never its ridge map."""
@@ -497,9 +536,9 @@ def test_census_builds_no_masks_or_holders_of_a_ball(monkeypatch, parity):
     monkeypatch.undo()
     for ball in even_balls(3, 9):
         assert is_r_stacked(ball, 2).verdict is True
-        assert ball._derived.ridges is None and ball._derived.holders is not None
-        assert boundary_complex(ball)._derived.ridges is None
-        assert ball_sanity(ball).verdict is True and ball._derived.ridges is None
+        assert "ridge_facets" not in vars(ball) and "_ridge_holders" in vars(ball)
+        assert "ridge_facets" not in vars(boundary_complex(ball))
+        assert ball_sanity(ball).verdict is True and "ridge_facets" not in vars(ball)
 
 
 @pytest.mark.parametrize("parity, whole", [("even", 2), ("odd", 1)])
@@ -527,9 +566,10 @@ def test_census_walks_each_ball_once_and_checks_the_ambient_once(monkeypatch, pa
     assert len(within) == len({bits for _, bits in within}) == 50
     assert all(c is fresh for c, _ in within)
     assert (eliminations > 0) == (parity == "even")
-    assert fresh._derived.closed is True and fresh._derived.links_connected is True
-    # the shelling steps' pairs are the ambient's, kept on its record
-    assert fresh._derived.steps is not None
+    kept = vars(fresh)
+    assert kept["_ridge_degrees"] == {2} and kept["links_strongly_connected"] is True
+    # the shelling steps' pairs are the ambient's, kept on it
+    assert "_step_pairs" in kept
 
 
 def counting_eliminations(monkeypatch, call):
@@ -660,7 +700,7 @@ def test_census_walks_no_sphere_and_checks_the_ambient_once(monkeypatch):
     entries = list(stream)
     assert len(entries) == len(sewn) == 11
     assert checked == [cyclic_boundary(6, 9)]
-    assert all(sphere._derived.masks is None for sphere in sewn)
+    assert all("vertex_masks" not in vars(sphere) for sphere in sewn)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
