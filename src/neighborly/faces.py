@@ -16,7 +16,8 @@ incidence and degrees, the shelling steps' masks, the boundary, the Betti
 numbers and whether every face link is strongly connected) is decorated
 `_kept`.  A call that raises keeps nothing.  What is kept is a cache: it
 takes no part in equality, hashing, repr or pickling, which read
-`maximal_faces` only.
+`maximal_faces` only.  The same rule keeps an antichain's order ideal in
+`posets`.
 
 One rule answers every face question: a set of vertices is a face exactly
 when the AND of its vertices' facet masks is not zero, and that AND is
@@ -68,6 +69,7 @@ Face = tuple[int, ...]
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
 _T = TypeVar("_T")
+_O = TypeVar("_O")
 
 
 def face(vertices: Iterable[int]) -> Face:
@@ -101,14 +103,15 @@ def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
     return frozenset(keep)
 
 
-def _kept(compute: Callable[[Complex], _T]) -> Callable[[Complex], _T]:
-    """Decorate a function of one complex to keep its result in the
-    complex's instance dict, under the function's name, on first use.  A
-    call that raises keeps nothing, so it raises again on the next call."""
+def _kept(compute: Callable[[_O], _T]) -> Callable[[_O], _T]:
+    """Decorate a function of one value (a complex, or an antichain of
+    `posets`) to keep its result in the value's instance dict, under the
+    function's name, on first use.  A call that raises keeps nothing, so it
+    raises again on the next call."""
     name = compute.__name__
 
     @wraps(compute)
-    def kept(c: Complex) -> _T:
+    def kept(c: _O) -> _T:
         store = c.__dict__
         if name not in store:
             store[name] = compute(c)

@@ -14,15 +14,22 @@ The antichains that `enumerate_antichains` yields, the conversions
 between the two forms, and the results of `shift_down` and `restrict` are
 sorted, valid and pairwise incomparable by construction and go through the
 private unchecked constructor `Antichain._trusted`.
+
+An antichain's order ideal is computed at most once and kept in its
+instance dict by `faces._kept`, the rule that keeps what a complex
+derives; `ideal_with_min(s, 1)` is that ideal, so every ball and block
+built from s reads it.  What is kept takes no part in equality, hashing or
+repr, and pickles and copies carry the four fields only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 from typing import Iterable, Iterator
 
-from .faces import Face
+from .faces import Face, _kept
 
 GridPoint = tuple[int, ...]
 
@@ -87,6 +94,11 @@ class Antichain:
         object.__setattr__(a, "elements", elements)
         object.__setattr__(a, "grid", grid)
         return a
+
+    def __reduce__(self):
+        # pickles and copies carry the fields only, never the kept ideal;
+        # the elements of an existing antichain are checked already
+        return (Antichain._trusted, (self.k, self.n, self.elements, self.grid))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.elements)
@@ -174,28 +186,44 @@ def shift_down(s: Antichain) -> Antichain:
     return Antichain._trusted(s.k, s.n, kept, s.grid)
 
 
+@_kept
 def order_ideal(s: Antichain) -> frozenset[tuple[int, ...]]:
     """Downward closure of s in its ambient poset: the union of its elements' down-sets."""
-    return ideal_with_min(s, 1)
+    width = 1 if s.grid else 2
+    return frozenset(x for e in s for x in _down_set(e, width))
 
 
 def ideal_with_min(s: Antichain, m: int) -> frozenset[tuple[int, ...]]:
     """Members of the order ideal of s whose smallest label is at least m.
 
-    The empty facet has no labels and passes every such filter.
+    The empty facet has no labels and passes every such filter.  For m = 1
+    this is the kept order ideal itself.
     """
     if m < 1:
         raise ValueError(f"minimum label must be at least 1, got {m}")
+    if m == 1:
+        return order_ideal(s)
     width = 1 if s.grid else 2
     return frozenset(x for e in s for x in _down_set(e, width, m))
 
 
 def maximal_elements(xs: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Maximal members of a set of equal-length tuples, sorted."""
-    pool = set(xs)
-    return tuple(sorted(
-        x for x in pool
-        if not any(x != y and componentwise_leq(x, y) for y in pool)))
+    """Maximal members of a set of equal-length tuples, sorted.
+
+    A member below another is lexicographically smaller, so in descending
+    order it comes after every member above it, and one pass keeps each
+    member that lies below none kept so far.
+    """
+    pool = sorted(set(xs), reverse=True)
+    width = len(pool[0]) if pool else 0
+    for x in pool:
+        if len(x) != width:
+            raise ValueError(f"cannot compare tuples of lengths {width} and {len(x)}")
+    kept: list[tuple[int, ...]] = []
+    for x in pool:
+        if not any(all(map(le, x, y)) for y in kept):
+            kept.append(x)
+    return tuple(reversed(kept))
 
 
 def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
@@ -220,7 +248,8 @@ def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
     if l > s.k:
         raise ValueError(f"interval longer than the facets: {interval}")
     run = tuple(range(j, j + 2 * l))
-    tails = (e[2 * l:] for e in s if componentwise_leq(run, e[:2 * l]))
+    # map stops at the end of the run, so this compares the first 2l labels
+    tails = (e[2 * l:] for e in s if all(map(le, run, e)))
     return Antichain._trusted(s.k - l, s.n, maximal_elements(tails), False)
 
 

@@ -10,7 +10,9 @@ neighborliness and the stackedness skeleton) against face levels built
 from facet subsets and against the closure oracles, the sanity
 certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
-from down-sets, the shelling step on facet bitmasks against gap and meet
+from down-sets, maximal elements in one pass against a scan of every pair,
+each antichain's order ideal kept once (and read by every block of a
+relative ball), the shelling step on facet bitmasks against gap and meet
 references, `is_shelling` against the gap reference, the shelling search
 on its own stack against a recursive one, each census ball decoded from
 its mask of the ambient's facets against the relative ball, each census
@@ -26,6 +28,7 @@ repr and pickles, and being kept once and never after an error."""
 import copy
 import pickle
 import random
+import re
 from itertools import chain, combinations, product, repeat
 
 import pytest
@@ -64,7 +67,7 @@ from neighborly.posets import (
     restrict,
     shift_down,
 )
-from neighborly.squeezed import relative_ball
+from neighborly.squeezed import block_D, relative_ball, relative_ball_general
 from neighborly.verify import (
     Certificate,
     ball_sanity,
@@ -1034,6 +1037,15 @@ def loop_pair_facets(k, m, n):
     return tuple(sorted(out))
 
 
+def scan_maximal(xs):
+    """Maximal members of a set of equal-length tuples, sorted, by comparing
+    every pair."""
+    pool = set(xs)
+    return tuple(sorted(
+        x for x in pool
+        if not any(x != y and componentwise_leq(x, y) for y in pool)))
+
+
 def scan_order_ideal(s):
     """Every element of the ambient poset lying below some element of s."""
     pool = combinations(range(1, s.n - s.k + 1), s.k) if s.grid else loop_pair_facets(s.k, 1, s.n)
@@ -1054,7 +1066,7 @@ def scan_restrict(s, interval):
     run = tuple(range(j, j + 2 * l))
     tails = [x[2 * l:] for x in scan_order_ideal(s)
              if x[:2 * l] == run and (len(x) == 2 * l or x[2 * l] >= j + 2 * l)]
-    return Antichain(s.k - l, s.n, maximal_elements(tails))
+    return Antichain(s.k - l, s.n, scan_maximal(tails))
 
 
 def random_antichains(seed):
@@ -1066,7 +1078,7 @@ def random_antichains(seed):
             pool = loop_pair_facets(k, 1, n)
             for _ in range(6):
                 picked = rng.sample(pool, rng.randint(0, min(len(pool), 5)))
-                out.append(Antichain(k, n, maximal_elements(picked)))
+                out.append(Antichain(k, n, scan_maximal(picked)))
     return out
 
 
@@ -1101,6 +1113,85 @@ def test_ideal_with_min_matches_filtered_scan():
             for m in range(1, s.n + 3):
                 want = frozenset(x for x in ideal if not x or x[0] >= m)
                 assert ideal_with_min(a, m) == want, (a, m)
+
+
+MIXED_LENGTHS = re.compile(r"cannot compare tuples of lengths (\d+) and (\d+)")
+
+
+def maximal_outcome(fn, xs, feed=list):
+    """The maximal members of feed(xs), or for mixed lengths whether the
+    error names two different lengths of the input in the message both
+    rules share.  Which pair the all-pairs scan names depends on the set's
+    iteration order."""
+    try:
+        return fn(feed(xs))
+    except ValueError as err:
+        named = MIXED_LENGTHS.fullmatch(str(err))
+        assert named, err
+        a, b = map(int, named.groups())
+        return ValueError, a != b and {a, b} <= set(map(len, xs))
+
+
+def random_tuple_collections(seed, count):
+    """Seeded collections of small tuples: of one length, with repeats, of
+    mixed lengths, with the empty tuple, and empty."""
+    rng = random.Random(seed)
+    out = [[], [()], [(), ()], [(), (1,)], [(2, 1), (1, 2), (2, 1)], [(1, 2), (3,), (4, 5, 6)]]
+    while len(out) < count:
+        lengths = rng.sample(range(5), 1 if rng.random() < 0.7 else rng.randint(2, 3))
+        top = rng.randint(1, 6)
+        xs = [tuple(rng.randint(1, top) for _ in range(rng.choice(lengths)))
+              for _ in range(rng.randint(1, 14))]
+        xs += rng.sample(xs, rng.randint(0, len(xs)))  # repeats
+        out.append(xs)
+    return out
+
+
+def test_maximal_elements_match_pair_scan():
+    for xs in random_tuple_collections(23, 1500):
+        want = maximal_outcome(scan_maximal, xs)
+        assert maximal_outcome(maximal_elements, xs) == want, xs
+        assert maximal_outcome(maximal_elements, xs, iter) == want, xs
+        assert want == (ValueError, True) or len(set(map(len, xs))) <= 1, xs
+
+
+FIELDS = {"k", "n", "elements", "grid"}
+
+
+def test_order_ideal_is_kept_once_and_never_after_an_error():
+    """A second order_ideal call returns the object the first kept, for pair
+    facets and grid points alike, and ideal_with_min from 1 reads it; a
+    refused minimum label raises again and keeps nothing; equality, hashing,
+    repr, pickles and copies read the four fields only."""
+    for s in ANTICHAINS:
+        for a in (copy.copy(s), s.to_grid()):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    ideal_with_min(a, 0)
+                assert vars(a).keys() == FIELDS
+            first = order_ideal(a)
+            assert order_ideal(a) is first and vars(a)["order_ideal"] is first
+            assert ideal_with_min(a, 1) is first
+            fresh = Antichain(a.k, a.n, a.elements, grid=a.grid)
+            assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+            assert len(pickle.dumps(a)) == len(pickle.dumps(fresh))
+            for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+                assert twin == a and vars(twin).keys() == FIELDS
+
+
+def test_blocks_read_the_ideals_kept_on_both_antichains():
+    for g in enumerate_antichains(3, 9, must_contain=max_slope_element(3, 9)):
+        s = g.to_pair_facets()
+        t = shift_down(s)
+        kept = None
+        for j in range(1, s.n):
+            d = block_D(s, t, j)
+            assert "order_ideal" in vars(s) and "order_ideal" in vars(t), (s, j)
+            now = (vars(s)["order_ideal"], vars(t)["order_ideal"])
+            assert kept is None or (now[0] is kept[0] and now[1] is kept[1]), (s, j)
+            kept = now
+            assert d.is_void or d.maximal_faces == {x for x in now[0] - now[1] if x[0] == j}
+        assert relative_ball_general(s, t).maximal_faces == kept[0] - kept[1]
 
 
 def test_restrict_matches_ideal_scan():
