@@ -16,8 +16,9 @@ incidence and degrees, the shelling steps' masks, the boundary, the Betti
 numbers and whether every face link is strongly connected) is decorated
 `_kept`.  A call that raises keeps nothing.  What is kept is a cache: it
 takes no part in equality, hashing, repr or pickling, which read
-`maximal_faces` only.  The same rule keeps an antichain's order ideal in
-`posets`.
+`maximal_faces` only.  The same rule keeps what an antichain derives: its
+order ideal and the ideal's split by leading label in `posets`, and its
+decomposition pieces in `squeezed`.
 
 One rule answers every face question: a set of vertices is a face exactly
 when the AND of its vertices' facet masks is not zero, and that AND is

@@ -15,11 +15,14 @@ between the two forms, and the results of `shift_down` and `restrict` are
 sorted, valid and pairwise incomparable by construction and go through the
 private unchecked constructor `Antichain._trusted`.
 
-An antichain's order ideal is computed at most once and kept in its
-instance dict by `faces._kept`, the rule that keeps what a complex
-derives; `ideal_with_min(s, 1)` is that ideal, so every ball and block
-built from s reads it.  What is kept takes no part in equality, hashing or
-repr, and pickles and copies carry the four fields only.
+An antichain keeps what is derived from it in its instance dict, computed
+at most once by `faces._kept`, the rule that keeps what a complex
+derives: its order ideal (`ideal_with_min(s, 1)` is that ideal, so every
+ball built from s reads it), the ideal split by leading label
+(`ideal_by_lead`, which every block of a relative ball reads), and, kept
+by `squeezed`, its decomposition pieces.  What is kept takes no part in
+equality, hashing or repr, and pickles and copies carry the four fields
+only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import le
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .faces import Face, _kept
 
@@ -134,13 +138,17 @@ def _down_set(top: tuple[int, ...], width: int, lo: int = 1) -> list[tuple[int, 
     """Elements componentwise below top whose smallest label is at least lo, sorted.
 
     The elements are runs of `width` consecutive labels (1 for grid points, 2
-    for pair facets); each run starts after the previous one ends and no later
-    than the run of top in the same position.
+    for pair facets), each built as a tuple literal; each run starts after
+    the previous one ends and no later than the run of top in the same
+    position.
     """
     out: list[tuple[int, ...]] = [()]
-    for t in top[::width]:
-        out = [x + tuple(range(i, i + width))
-               for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
+    if width == 1:
+        for t in top:
+            out = [x + (i,) for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
+        return out
+    for t in top[::2]:
+        out = [x + (i, i + 1) for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
     return out
 
 
@@ -193,6 +201,17 @@ def order_ideal(s: Antichain) -> frozenset[tuple[int, ...]]:
     return frozenset(x for e in s for x in _down_set(e, width))
 
 
+@_kept
+def ideal_by_lead(s: Antichain) -> Mapping[int, frozenset[tuple[int, ...]]]:
+    """The order ideal of s split by leading label: each label j maps to the
+    members that start at j.  The empty tuple has no label and is in no part."""
+    split: dict[int, list[tuple[int, ...]]] = {}
+    for x in order_ideal(s):
+        if x:
+            split.setdefault(x[0], []).append(x)
+    return MappingProxyType({j: frozenset(xs) for j, xs in split.items()})
+
+
 def ideal_with_min(s: Antichain, m: int) -> frozenset[tuple[int, ...]]:
     """Members of the order ideal of s whose smallest label is at least m.
 
@@ -238,19 +257,28 @@ def restrict(s: Antichain, interval: tuple[int, int]) -> Antichain:
     tails are the maximal rests of the elements whose first 2l labels lie
     above J.
     """
+    run = _run(s, interval)
+    l = len(run) // 2
+    # map stops at the end of the run, so this compares the first 2l labels
+    tails = (e[2 * l:] for e in s if all(map(le, run, e)))
+    return Antichain._trusted(s.k - l, s.n, maximal_elements(tails), False)
+
+
+def _run(s: Antichain, interval: tuple[int, int]) -> tuple[int, ...]:
+    """The run [j, j+2l-1] that `interval` names, for restricting s to it.
+
+    Refuses a grid antichain, an interval that is not such a run, and a run
+    longer than the facets of s.
+    """
     if s.grid:
         raise ValueError("restrict operates on pair-facet antichains")
     j, hi = interval
     length = hi - j + 1
     if length < 2 or length % 2 or j < 1:
         raise ValueError(f"need an even interval [j, j+2l-1] with j >= 1, got {interval}")
-    l = length // 2
-    if l > s.k:
+    if length // 2 > s.k:
         raise ValueError(f"interval longer than the facets: {interval}")
-    run = tuple(range(j, j + 2 * l))
-    # map stops at the end of the run, so this compares the first 2l labels
-    tails = (e[2 * l:] for e in s if all(map(le, run, e)))
-    return Antichain._trusted(s.k - l, s.n, maximal_elements(tails), False)
+    return tuple(range(j, hi + 1))
 
 
 def enumerate_antichains(

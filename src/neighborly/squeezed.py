@@ -6,15 +6,28 @@ Removing the ball of a strictly smaller antichain leaves a relative ball.
 Relative balls split into blocks by leading pair, and consecutive blocks
 meet in a join of a lower-order relative ball with a vertex; both of those
 statements are checkable here rather than assumed.
+
+The lemma checks read what each antichain keeps by the `_kept` rule of
+`faces` (see `posets`): the block of S - T at j is the part of S's kept
+ideal that starts at j (`ideal_by_lead`) less T's, and the decomposition
+of B(S, i) compares those parts, for each j >= i, with S's decomposition
+pieces (`_decomposition_pieces`), kept once for every j.  The pieces come
+from the restrictions of S, the parts from its elements' down-sets, so the
+two sides of the check stay independent.
 """
 
 from __future__ import annotations
 
-from .faces import Complex, Face, intersect
+from types import MappingProxyType
+from typing import Callable, Mapping
+
+from .faces import Complex, Face, _kept, intersect
 from .posets import (
     Antichain,
+    _run,
     antichain_lt,
     grid_to_facet,
+    ideal_by_lead,
     ideal_with_min,
     max_slope_element,
     order_ideal,
@@ -22,16 +35,22 @@ from .posets import (
     shift_down,
 )
 
+_NO_FACETS: frozenset[Face] = frozenset()
+
 
 def _complex(facets: frozenset[Face]) -> Complex:
     """Complex on a set of pair facets of one size; void when the set is empty."""
     return Complex._trusted(facets) if facets else Complex.void()
 
 
-def _ideal(s: Antichain, m: int) -> frozenset[Face]:
-    """Pair facets below some element of s with labels >= m."""
+def _require_pair_facets(s: Antichain) -> None:
     if s.grid:
         raise ValueError("squeezed balls are built from pair-facet antichains")
+
+
+def _ideal(s: Antichain, m: int) -> frozenset[Face]:
+    """Pair facets below some element of s with labels >= m."""
+    _require_pair_facets(s)
     return ideal_with_min(s, m)
 
 
@@ -62,21 +81,20 @@ def relative_ball_general(s: Antichain, t: Antichain, i: int = 1) -> Complex:
     return _complex(ball - ideal_with_min(t, i))
 
 
-def _relative_ideal(s: Antichain, t: Antichain) -> frozenset[Face]:
-    """The pair facets below S and not below T that the blocks are cut from."""
+def _blocks(s: Antichain, t: Antichain) -> Callable[[int], Complex]:
+    """The blocks of S - T by leading label: the block at j is the part of
+    S's kept ideal that starts at j less the part of T's."""
     _require_below(s, t)
     if s.k < 1:
         raise ValueError("blocks need at least one pair")
-    return _ideal(s, 1) - order_ideal(t)
-
-
-def _block(rel: frozenset[Face], j: int) -> Complex:
-    return _complex(frozenset(x for x in rel if x[0] == j))
+    _require_pair_facets(s)
+    upper, lower = ideal_by_lead(s), ideal_by_lead(t)
+    return lambda j: _complex(upper.get(j, _NO_FACETS) - lower.get(j, _NO_FACETS))
 
 
 def block_D(s: Antichain, t: Antichain, j: int) -> Complex:
     """Facets of the relative ball whose leading pair starts at j."""
-    return _block(_relative_ideal(s, t), j)
+    return _blocks(s, t)(j)
 
 
 def _common_tails(s: Antichain, t: Antichain, j: int, l: int, m: int) -> frozenset[Face]:
@@ -103,20 +121,33 @@ def block_Gamma(s: Antichain, t: Antichain, j: int, l: int) -> Complex:
     return _complex(_common_tails(s, t, j, l, j + 2 * l + 1))
 
 
+@_kept
+def _decomposition_pieces(s: Antichain) -> Mapping[int, frozenset[Face]]:
+    """For each j in 1..n-1, the pair [j, j+1] joined with each facet of the
+    ball of the restriction of S at [j, j+1], filtered to labels >= j+2."""
+    return MappingProxyType({
+        j: frozenset((j, j + 1) + h for h in ideal_with_min(restrict(s, (j, j + 1)), j + 2))
+        for j in range(1, s.n)})
+
+
 def verify_decomposition(s: Antichain, i: int = 1) -> bool:
     """Check that B(S, i) splits by leading pair into joined lower-order balls.
 
     Each facet with leading pair [j, j+1] should arise as that pair joined
     with a facet of the ball of the restriction of S at [j, j+1], filtered
-    to labels >= j+2.  Compares facet sets exactly.
+    to labels >= j+2.  Both sides split by leading pair, so comparing the
+    members of the ideal that start at j with the piece at j, for every
+    j >= i, compares the facet sets of B(S, i) exactly.
     """
     if not s.elements:
         raise ValueError("antichain must be non-empty")
-    direct = ideal_with_min(s, i)
-    pieced = {(j, j + 1) + h
-              for j in range(i, s.n)
-              for h in ideal_with_min(restrict(s, (j, j + 1)), j + 2)}
-    return direct == pieced
+    if not 1 <= i < s.n:
+        # no pair starts at i or later, so nothing is pieced; ideal_with_min refuses i < 1
+        return not ideal_with_min(s, i)
+    # refuses grid antichains and k = 0 as the restriction at [i, i+1] does
+    _run(s, (i, i + 1))
+    split, pieces = ideal_by_lead(s), _decomposition_pieces(s)
+    return all(split.get(j, _NO_FACETS) == pieces[j] for j in range(i, s.n))
 
 
 def verify_intersection_formula(s: Antichain, t: Antichain, j: int) -> bool:
@@ -127,11 +158,11 @@ def verify_intersection_formula(s: Antichain, t: Antichain, j: int) -> bool:
     common-tail complexes joined with initial segments.  Raises when the
     block at j+1 is void, since the statement presumes it is not.
     """
-    rel = _relative_ideal(s, t)
-    dj1 = _block(rel, j + 1)
+    block = _blocks(s, t)
+    dj1 = block(j + 1)
     if dj1.is_void:
         raise ValueError("hypothesis of lemma violated")
-    lhs = intersect(_block(rel, j), dj1)
+    lhs = intersect(block(j), dj1)
 
     # every face on the right has 2k-1 labels, so each one is maximal
     rhs_join = _complex(frozenset((j + 1,) + h for h in _common_tails(s, t, j, 1, j + 2)))

@@ -10,9 +10,11 @@ neighborliness and the stackedness skeleton) against face levels built
 from facet subsets and against the closure oracles, the sanity
 certificates against one walk per condition, the maximal-face rule, order
 ideals (whole or from a minimum label), restrictions and pair facets built
-from down-sets, maximal elements in one pass against a scan of every pair,
-each antichain's order ideal kept once (and read by every block of a
-relative ball), the shelling step on facet bitmasks against gap and meet
+from down-sets (against runs built by `range`), maximal elements in one
+pass against a scan of every pair, what each antichain keeps (its order
+ideal, the ideal's split by leading label, its decomposition pieces) kept
+once, the lemma checks that read it against whole-set references and
+failing on doctored tables, the shelling step on facet bitmasks against gap and meet
 references, `is_shelling` against the gap reference, the shelling search
 on its own stack against a recursive one, each census ball decoded from
 its mask of the ambient's facets against the relative ball, each census
@@ -26,6 +28,7 @@ constructor; and what a complex keeps staying out of equality, hashing,
 repr and pickles, and being kept once and never after an error."""
 
 import copy
+import operator
 import pickle
 import random
 import re
@@ -54,11 +57,14 @@ from neighborly.faces import (
 )
 from neighborly.posets import (
     Antichain,
+    _down_set,
+    antichain_lt,
     componentwise_leq,
     enumerate_antichains,
     facet_to_grid,
     grid_points,
     grid_to_facet,
+    ideal_by_lead,
     ideal_with_min,
     max_slope_element,
     maximal_elements,
@@ -67,7 +73,14 @@ from neighborly.posets import (
     restrict,
     shift_down,
 )
-from neighborly.squeezed import block_D, relative_ball, relative_ball_general
+from neighborly.squeezed import (
+    _decomposition_pieces,
+    block_D,
+    relative_ball,
+    relative_ball_general,
+    verify_decomposition,
+    verify_intersection_formula,
+)
 from neighborly.verify import (
     Certificate,
     ball_sanity,
@@ -1158,20 +1171,42 @@ def test_maximal_elements_match_pair_scan():
 FIELDS = {"k", "n", "elements", "grid"}
 
 
+KEPT_ON_ANTICHAINS = {"order_ideal", "ideal_by_lead", "_decomposition_pieces"}
+
+
 def test_order_ideal_is_kept_once_and_never_after_an_error():
-    """A second order_ideal call returns the object the first kept, for pair
-    facets and grid points alike, and ideal_with_min from 1 reads it; a
-    refused minimum label raises again and keeps nothing; equality, hashing,
-    repr, pickles and copies read the four fields only."""
+    """A second call of order_ideal, ideal_by_lead or _decomposition_pieces
+    returns the object the first kept, for pair facets and grid points alike,
+    and ideal_with_min from 1 reads the ideal; a refused call raises again and
+    keeps nothing; equality, hashing, repr, pickles and copies read the four
+    fields only."""
     for s in ANTICHAINS:
         for a in (copy.copy(s), s.to_grid()):
-            for _ in range(2):
-                with pytest.raises(ValueError):
-                    ideal_with_min(a, 0)
-                assert vars(a).keys() == FIELDS
+            elsewhere = Antichain(a.k, a.n + 1, (), grid=a.grid)
+            refused = [lambda: ideal_with_min(a, 0), lambda: verify_decomposition(a, 0),
+                       lambda: block_D(a, elsewhere, 1)]
+            # no restriction of a grid antichain, nor of one with no pair,
+            # and none at all for n < 2
+            pieces_refused = (a.grid or a.k == 0) and a.n >= 2
+            if pieces_refused:
+                refused.append(lambda: _decomposition_pieces(a))
+            for call in refused:
+                for _ in range(2):
+                    with pytest.raises(ValueError):
+                        call()
+                    assert vars(a).keys() == FIELDS, (a, call)
             first = order_ideal(a)
             assert order_ideal(a) is first and vars(a)["order_ideal"] is first
             assert ideal_with_min(a, 1) is first
+            split = ideal_by_lead(a)
+            assert ideal_by_lead(a) is split and vars(a)["ideal_by_lead"] is split
+            kept = {"order_ideal", "ideal_by_lead"}
+            if not pieces_refused:
+                pieces = _decomposition_pieces(a)
+                assert _decomposition_pieces(a) is pieces
+                assert vars(a)["_decomposition_pieces"] is pieces
+                kept = KEPT_ON_ANTICHAINS
+            assert vars(a).keys() == FIELDS | kept, a
             fresh = Antichain(a.k, a.n, a.elements, grid=a.grid)
             assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
             assert len(pickle.dumps(a)) == len(pickle.dumps(fresh))
@@ -1186,12 +1221,209 @@ def test_blocks_read_the_ideals_kept_on_both_antichains():
         kept = None
         for j in range(1, s.n):
             d = block_D(s, t, j)
-            assert "order_ideal" in vars(s) and "order_ideal" in vars(t), (s, j)
-            now = (vars(s)["order_ideal"], vars(t)["order_ideal"])
-            assert kept is None or (now[0] is kept[0] and now[1] is kept[1]), (s, j)
+            assert KEPT_ON_ANTICHAINS - {"_decomposition_pieces"} <= vars(s).keys() & vars(t).keys(), (s, j)
+            now = tuple(vars(a)[name] for a in (s, t) for name in ("order_ideal", "ideal_by_lead"))
+            assert kept is None or all(map(operator.is_, now, kept)), (s, j)
             kept = now
-            assert d.is_void or d.maximal_faces == {x for x in now[0] - now[1] if x[0] == j}
-        assert relative_ball_general(s, t).maximal_faces == kept[0] - kept[1]
+            want = now[1].get(j, frozenset()) - now[3].get(j, frozenset())
+            assert d.is_void or d.maximal_faces == want == {x for x in now[0] - now[2] if x[0] == j}
+        assert relative_ball_general(s, t).maximal_faces == kept[0] - kept[2]
+
+
+def scan_down_set(top, width, lo=1):
+    """Elements below top from label lo, each run built by tuple(range(...))."""
+    out = [()]
+    for t in top[::width]:
+        out = [x + tuple(range(i, i + width))
+               for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
+    return out
+
+
+def scan_decomposition(s, i):
+    """The decomposition check on whole facet sets, with every restriction
+    from i on built for this i alone."""
+    if not s.elements:
+        raise ValueError("antichain must be non-empty")
+    direct = ideal_with_min(s, i)
+    pieced = {(j, j + 1) + h
+              for j in range(i, s.n)
+              for h in ideal_with_min(restrict(s, (j, j + 1)), j + 2)}
+    return direct == pieced
+
+
+def scan_block(s, t, j):
+    """The block at j filtered out of the whole relative ideal."""
+    if not antichain_lt(t, s):
+        raise ValueError("subtracted antichain must lie strictly below")
+    if s.k < 1:
+        raise ValueError("blocks need at least one pair")
+    if s.grid:
+        raise ValueError("squeezed balls are built from pair-facet antichains")
+    facets = frozenset(x for x in order_ideal(s) - order_ideal(t) if x[0] == j)
+    return Complex(facets) if facets else Complex.void()
+
+
+def scan_intersection(s, t, j):
+    """The intersection formula on blocks filtered out of the relative ideal."""
+    dj1 = scan_block(s, t, j + 1)
+    if dj1.is_void:
+        raise ValueError("hypothesis of lemma violated")
+    lhs = intersect(scan_block(s, t, j), dj1)
+
+    def tails(l, m):
+        return (ideal_with_min(restrict(s, (j + 1, j + 2 * l)), m)
+                - ideal_with_min(restrict(t, (j, j + 2 * l - 1)), m))
+
+    def complex_of(facets):
+        return Complex(frozenset(facets)) if facets else Complex.void()
+
+    rhs_join = complex_of({(j + 1,) + h for h in tails(1, j + 2)})
+    rhs_union = complex_of({tuple(range(j + 1, j + 2 * l)) + h
+                            for l in range(1, s.k + 1) for h in tails(l, j + 2 * l + 1)})
+    return lhs == rhs_join and lhs == rhs_union
+
+
+def told(fn, *args):
+    """The result, or the type and text of the error the call raises."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def test_down_set_matches_range_runs():
+    for k in range(5):
+        for n in range(2 * k + 5):
+            for tops, width in ((grid_points(k, n), 1), (loop_pair_facets(k, 1, n), 2)):
+                for top in tops:
+                    for lo in range(1, n + 2):
+                        assert _down_set(top, width, lo) == scan_down_set(top, width, lo), (top, lo)
+
+
+def seeded_lemma_pairs(seed, count, k=4, n=12):
+    """Seeded pairs (S, T) with S non-empty and T the maximal elements of up
+    to three points strictly below S, in pair-facet form."""
+    rng = random.Random(seed)
+    chains = [a for a in enumerate_antichains(k, n) if a.elements]
+    points = grid_points(k, n)
+    for _ in range(count):
+        s = rng.choice(chains)
+        below = [p for p in points if any(all(map(operator.lt, p, e)) for e in s)]
+        picked = rng.sample(below, rng.randint(0, min(3, len(below))))
+        yield s.to_pair_facets(), Antichain(k, n, scan_maximal(picked), grid=True).to_pair_facets()
+
+
+def assert_lemmas_match_the_references(s, t, intersections):
+    for j in range(s.n + 1):
+        assert told(block_D, s, t, j) == told(scan_block, s, t, j), (s, t, j)
+        if intersections:
+            assert told(verify_intersection_formula, s, t, j) == \
+                told(scan_intersection, s, t, j), (s, t, j)
+
+
+def test_lemma_checks_match_whole_set_references():
+    """verify_decomposition and block_D on every antichain and every pair
+    T < S for k <= 3 and n <= 2k+4, and on seeded pairs at k=4, n=12, against
+    references that filter whole facet sets; verify_intersection_formula on
+    the same pairs but those at (3, 10), whose 4,652 pairs would take seconds."""
+    for k in range(1, 4):
+        for n in range(2 * k, 2 * k + 5):
+            chains = [a.to_pair_facets() for a in enumerate_antichains(k, n)]
+            for s in chains:
+                for i in range(n + 2):
+                    assert told(verify_decomposition, s, i) == told(scan_decomposition, s, i), (s, i)
+                for t in chains:
+                    if antichain_lt(t, s):
+                        assert_lemmas_match_the_references(s, t, n < 2 * k + 4)
+    for s, t in seeded_lemma_pairs(29, 300):
+        for i in range(s.n + 2):
+            assert told(verify_decomposition, s, i) == told(scan_decomposition, s, i), (s, i)
+        assert_lemmas_match_the_references(s, t, True)
+
+
+def test_lemma_checks_refuse_as_the_references_do():
+    s = Antichain(2, 8, ((1, 2, 7, 8), (3, 4, 6, 7)))
+    t = Antichain(2, 8, ((2, 3, 5, 6),))
+    nothing = Antichain(0, 4, ((),))
+    decompositions = [(Antichain(2, 8, ()), 1), (s, 0), (s, -1), (s, 8), (s, 9),
+                      (nothing, 0), (nothing, 1), (nothing, 3), (nothing, 4),
+                      (s.to_grid(), 0), (s.to_grid(), 1), (s.to_grid(), 7), (s.to_grid(), 8)]
+    seen = set()
+    for a, i in decompositions:
+        got = told(verify_decomposition, a, i)
+        assert got == told(scan_decomposition, a, i), (a, i)
+        seen.add(got)
+    assert seen == {True, False,
+                    (ValueError, "antichain must be non-empty"),
+                    (ValueError, "minimum label must be at least 1, got 0"),
+                    (ValueError, "minimum label must be at least 1, got -1"),
+                    (ValueError, "interval longer than the facets: (1, 2)"),
+                    (ValueError, "interval longer than the facets: (3, 4)"),
+                    (ValueError, "restrict operates on pair-facet antichains")}
+    pairs = [(s, s), (t, s), (s, t.to_grid()), (s.to_grid(), t), (s, Antichain(2, 9, ())),
+             (s.to_grid(), t.to_grid()), (nothing, Antichain(0, 4, ())),
+             (Antichain(2, 8, ()), Antichain(2, 8, ()))]
+    seen = set()
+    for a, b in pairs:
+        for j in range(a.n + 1):
+            for fn, ref in ((block_D, scan_block), (verify_intersection_formula, scan_intersection)):
+                got = told(fn, a, b, j)
+                assert got == told(ref, a, b, j), (fn, a, b, j)
+                seen.add(got)
+    assert seen == {Complex.void(),
+                    (ValueError, "subtracted antichain must lie strictly below"),
+                    (ValueError, "antichains live in different ambient posets"),
+                    (ValueError, "blocks need at least one pair"),
+                    (ValueError, "squeezed balls are built from pair-facet antichains"),
+                    (ValueError, "hypothesis of lemma violated")}
+
+
+@pytest.mark.parametrize("s", [
+    Antichain(1, 6, ((5, 6),)),
+    Antichain(2, 8, ((1, 2, 7, 8), (3, 4, 6, 7))),
+    Antichain(3, 10, ((1, 2, 6, 7, 9, 10), (2, 3, 4, 5, 8, 9), (3, 4, 5, 6, 7, 8))),
+], ids=["k1", "k2", "k3"])
+def test_decomposition_fails_when_a_kept_piece_is_doctored(s):
+    """A piece at j with one tail dropped, or swapped for a facet outside the
+    ambient, fails the check from every i <= j and passes it from every i > j."""
+    pieces = _decomposition_pieces(copy.copy(s))
+    outside = tuple(range(s.n + 1, s.n + 2 * s.k))
+    checked = 0
+    for j, piece in pieces.items():
+        for dropped in sorted(piece)[:2]:
+            for doctored in (piece - {dropped}, piece - {dropped} | {(j,) + outside}):
+                a = copy.copy(s)
+                vars(a)["_decomposition_pieces"] = {**pieces, j: doctored}
+                assert [verify_decomposition(a, i) for i in range(1, s.n + 1)] == \
+                    [i > j for i in range(1, s.n + 1)], (j, doctored)
+                checked += 1
+    # for k = 1 the last piece, at j = n-1, holds a facet too
+    assert checked and (s.k > 1 or pieces[s.n - 1])
+
+
+def test_intersection_formula_fails_when_a_kept_split_loses_a_member():
+    """Dropping from S's kept split at j a facet of the block at j whose face
+    without j lies in the block at j+1 fails the formula at j and leaves every
+    other j but j-1 as it was."""
+    checked = 0
+    for s, t in seeded_lemma_pairs(31, 40, k=3, n=10):
+        split = ideal_by_lead(copy.copy(s))
+        honest = {j: told(verify_intersection_formula, s, t, j) for j in range(1, s.n - 1)}
+        for j, verdict in honest.items():
+            if verdict is not True:
+                continue
+            below = block_D(s, t, j + 1).maximal_faces
+            meeting = [x for x in sorted(block_D(s, t, j).maximal_faces)
+                       if any(set(x[1:]) <= set(y) for y in below)]
+            for x in meeting[:1]:
+                a = copy.copy(s)
+                vars(a)["ideal_by_lead"] = {**split, j: split[j] - {x}}
+                assert verify_intersection_formula(a, t, j) is False, (s, t, j, x)
+                for h, want in honest.items():
+                    if h not in (j - 1, j):
+                        assert told(verify_intersection_formula, a, t, h) == want, (s, t, j, h)
+                checked += 1
+    assert checked > 20
 
 
 def test_restrict_matches_ideal_scan():
