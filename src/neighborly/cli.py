@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
-from .construct import census, census_counts
+from .construct import CensusEntry, census, census_counts
 from .cyclic import cyclic_boundary
 from .faces import format_complex, parse_complex
 from .posets import (
@@ -172,26 +173,38 @@ def _cmd_shelling(args: argparse.Namespace) -> int:
     return _print_certificate(find_shelling(c, args.budget))
 
 
+def _render(with_text: bool, e: CensusEntry) -> tuple[dict, str | None]:
+    """The manifest record of one entry, without index and file, and its
+    facet text, or None for the text when no file is written.
+
+    `census` applies it in the process that built the entry, so a pool
+    worker sends back these and not the entry's complexes.
+    """
+    record = {
+        "antichain": format_antichain(e.antichain),
+        "sphere_facets": len(e.sphere.maximal_faces),
+        "ball_facets": len(e.ball.maximal_faces),
+        "certificates": [
+            {"property": c.property, "verdict": c.verdict} for c in e.certificates],
+    }
+    return record, format_complex(e.sphere) if with_text else None
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     out_dir = None if args.out is None else Path(args.out)
-    entries = census(args.parity, args.k, args.n, args.jobs)  # checks the arguments
+    # checks the arguments
+    rendered = census(args.parity, args.k, args.n, args.jobs,
+                      then=partial(_render, out_dir is not None))
     if out_dir is not None:
         # an older manifest would name files this run overwrites or deletes
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").unlink(missing_ok=True)
     records = []
-    for idx, e in enumerate(entries):
-        record = {
-            "index": idx,
-            "antichain": format_antichain(e.antichain),
-            "sphere_facets": len(e.sphere.maximal_faces),
-            "ball_facets": len(e.ball.maximal_faces),
-            "certificates": [
-                {"property": c.property, "verdict": c.verdict} for c in e.certificates],
-        }
-        if out_dir is not None:
+    for idx, (fields, text) in enumerate(rendered):
+        record = {"index": idx, **fields}
+        if text is not None:
             record["file"] = f"sphere_{idx:04d}.txt"
-            (out_dir / record["file"]).write_text(format_complex(e.sphere), encoding="utf-8")
+            (out_dir / record["file"]).write_text(text, encoding="utf-8")
         records.append(record)
     manifest = {"parity": args.parity, "k": args.k, "n": args.n,
                 "count": len(records), "entries": records}

@@ -11,11 +11,13 @@ generation time.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import islice
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .cyclic import cyclic_boundary
 from .faces import Complex, Face, boundary_complex, links_strongly_connected
@@ -241,7 +243,8 @@ def _family(k: int, n: int) -> Iterator[Antichain]:
     return enumerate_antichains(k, n, must_contain=max_slope_element(k, n))
 
 
-def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
+def census(parity: str, k: int, n: int, jobs: int = 1,
+           then: Callable[[CensusEntry], Any] | None = None) -> Iterator[Any]:
     """Certified entries of the even or odd census, in family order.
 
     The parameters are checked on the call, before any entry is built.  So
@@ -249,9 +252,14 @@ def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
     which every entry's sphere certificate builds (`_entry`); a RuntimeError
     says it fails.  The table of each pair facet's down-set, as a mask of
     the ambient's facets, is built here once and handed to every entry;
-    each process takes the ambient itself from `cyclic_boundary`.  With
-    jobs > 1 the entries are built in a pool of that many processes; they
-    come back in the same order as with one.
+    each process takes the ambient itself from `cyclic_boundary`.
+
+    With `then`, the stream holds `then(entry)` in place of each entry,
+    applied in the process that built the entry: a pool worker sends back
+    only what `then` returns, so `then` must be picklable (a module-level
+    function, or a `partial` of one).  With jobs > 1 the entries are built
+    in a pool of that many processes, in chunks of consecutive antichains
+    (`_stream`); they come back in the same order as with one.
     """
     _check_census(parity, k, n)
     if jobs < 1:
@@ -263,16 +271,53 @@ def census(parity: str, k: int, n: int, jobs: int = 1) -> Iterator[CensusEntry]:
             raise RuntimeError(f"ambient sphere is not {k}-neighborly: {ambient.witness}")
     own = {f: 1 << j for j, f in enumerate(delta.facets)}
     down = {x: sum(own[y] for y in _down_set(x, 2)) for x in pair_facets(k, 1, n)}
-    return _stream(partial(_entry, parity, k, n, down), _family(k, n), jobs)
+    make = partial(_entry, parity, k, n, down)
+    if then is not None:
+        make = partial(_then, then, make)
+    return _stream(make, _family(k, n), jobs)
 
 
-def _stream(entry: Callable[[Antichain], CensusEntry], family: Iterator[Antichain],
-            jobs: int) -> Iterator[CensusEntry]:
+def _then(then: Callable[[CensusEntry], Any], entry: Callable[[Antichain], CensusEntry],
+          a: Antichain) -> Any:
+    return then(entry(a))
+
+
+# antichains per pool task, and tasks in flight per worker process: a task
+# carries `make` and its down-set table once for the whole chunk, and the
+# window keeps the workers busy while the parent consumes a finished chunk
+_CHUNK = 8
+_WINDOW = 4
+
+
+def _chunk(make: Callable[[Antichain], Any], chunk: list[Antichain]) -> list[Any]:
+    return [make(a) for a in chunk]
+
+
+def _stream(make: Callable[[Antichain], Any], family: Iterator[Antichain],
+            jobs: int) -> Iterator[Any]:
+    """`make` of each antichain of the family, in family order, from `jobs` processes.
+
+    With jobs > 1 the family is drawn lazily, `_CHUNK` antichains to a pool
+    task, and at most `_WINDOW * jobs` tasks are in flight: a task is
+    submitted as the oldest one's results are handed on.  A task's results
+    come whole, so they appear when its last antichain is done, and a
+    failure raises when its task is reached, after every earlier result.
+    Closing the stream, or a failure, cancels the tasks not yet started.
+    """
     if jobs == 1:
-        yield from map(entry, family)
+        yield from map(make, family)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(entry, family)
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    pending = deque()
+    try:
+        while chunk := list(islice(family, _CHUNK)):
+            pending.append(pool.submit(_chunk, make, chunk))
+            if len(pending) == _WINDOW * jobs:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def even_census(k: int, n: int) -> Iterator[CensusEntry]:

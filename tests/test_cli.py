@@ -1,6 +1,7 @@
 """Exit codes, output formats, and file round trips of the command line."""
 
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import neighborly
-from neighborly import construct
+from neighborly import cli, construct
 from neighborly.cli import run
 from neighborly.faces import format_complex, parse_complex
 from neighborly.posets import Antichain
@@ -217,6 +218,67 @@ def test_census_manifest_is_reproducible(tmp_path, capsys):
     assert pooled == files
 
 
+def census_outputs(tmp_path, capsys, args, jobs):
+    """The stdout manifest and the --out directory, as bytes, of one census run."""
+    assert run(["census", *args, "--jobs", str(jobs)]) == 0
+    manifest = capsys.readouterr().out
+    out_dir = tmp_path / f"jobs-{jobs}"
+    assert run(["census", *args, "--jobs", str(jobs), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    return manifest, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("args, count", [
+    # a family of one (n = 2k), families smaller than one pool chunk, and
+    # families that are not a multiple of the chunk size
+    (["--parity", "odd", "--k", "3", "--n", "6"], 1),
+    (["--parity", "even", "--k", "2", "--n", "6"], 2),
+    (["--parity", "odd", "--k", "2", "--n", "7"], 4),
+    (["--parity", "even", "--k", "3", "--n", "9"], 11),
+    (["--parity", "odd", "--k", "3", "--n", "10"], 50),
+])
+def test_census_output_does_not_depend_on_jobs(tmp_path, capsys, args, count):
+    assert count < construct._CHUNK or count % construct._CHUNK
+    manifest, files = census_outputs(tmp_path, capsys, args, 1)
+    assert json.loads(manifest)["count"] == count
+    assert len(files) == count + 1
+    for jobs in (2, 3):
+        assert census_outputs(tmp_path, capsys, args, jobs) == (manifest, files)
+
+
+def test_census_pool_workers_render_the_facet_text(tmp_path, monkeypatch, capsys):
+    args = ["census", "--parity", "odd", "--k", "3", "--n", "10"]
+    assert run(args + ["--out", str(tmp_path / "serial")]) == 0
+    real = cli.format_complex
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(cli, "format_complex", counted)
+    assert run(args + ["--out", str(tmp_path / "pooled"), "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "pooled").iterdir()} == serial
+
+
+def test_census_without_out_renders_no_facet_text(monkeypatch, capsys):
+    def refused(c):
+        raise AssertionError("facet text rendered with no --out")
+
+    monkeypatch.setattr(cli, "format_complex", refused)
+    outs = []
+    for jobs in ("1", "2", "3"):
+        code, out = run_lines(capsys, ["census", "--parity", "even", "--k", "3", "--n", "9",
+                                       "--jobs", jobs])
+        assert code == 0
+        outs.append(out)
+    assert json.loads(outs[0])["count"] == 11
+    assert outs == outs[:1] * 3
+
+
 def test_census_failing_mid_run_leaves_no_manifest(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "census"
     out_dir.mkdir()
@@ -236,6 +298,33 @@ def test_census_failing_mid_run_leaves_no_manifest(tmp_path, monkeypatch, capsys
     assert code == 1
     assert "verification failure" in capsys.readouterr().err
     assert sorted(p.name for p in out_dir.iterdir()) == ["sphere_0000.txt", "sphere_0001.txt"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched check reaches pool workers only under fork")
+def test_census_failing_in_a_pool_leaves_a_prefix_and_no_manifest(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "census"
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text("{}\n", encoding="utf-8")
+    failing = 21
+    bad = construct.collect_census("odd", 3, 10)[failing].ball.maximal_faces
+    real = construct.is_r_stacked
+
+    def fails_on_one_ball(c, r):
+        cert = real(c, r)
+        return replace(cert, verdict=False) if c.maximal_faces == bad else cert
+
+    # with no patch certificate, every entry runs the full stackedness check
+    monkeypatch.setattr(construct, "_patch", lambda delta, bits: None)
+    monkeypatch.setattr(construct, "is_r_stacked", fails_on_one_ball)
+    code = run(["census", "--parity", "odd", "--k", "3", "--n", "10", "--out", str(out_dir),
+                "--jobs", "2"])
+    assert code == 1
+    assert "verification failure" in capsys.readouterr().err
+    written = sorted(p.name for p in out_dir.iterdir())
+    assert "manifest.json" not in written
+    assert 0 < len(written) <= failing
+    assert written == [f"sphere_{idx:04d}.txt" for idx in range(len(written))]
 
 
 def test_census_over_an_earlier_run_leaves_only_its_own_files(tmp_path, monkeypatch, capsys):

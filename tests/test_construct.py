@@ -166,6 +166,28 @@ def test_census_builds_entries_on_demand(monkeypatch):
     assert certified == [sum(1 << delta.facets.index(f) for f in first.ball.maximal_faces)]
 
 
+def test_closing_a_pooled_census_draws_a_bounded_part_of_the_family(monkeypatch):
+    """The pool draws antichains a window of chunks ahead, not the whole family."""
+    real = construct._family
+    want = next(census("odd", 4, 12))
+    drawn = []
+
+    def counted(k, n):
+        for a in real(k, n):
+            drawn.append(a)
+            yield a
+
+    monkeypatch.setattr(construct, "_family", counted)
+    jobs = 2
+    bound = construct._WINDOW * jobs * construct._CHUNK
+    assert bound < sum(1 for _ in real(4, 12)) == 320
+    stream = census("odd", 4, 12, jobs=jobs)
+    first = next(stream)
+    stream.close()
+    assert first == want
+    assert 0 < len(drawn) <= bound
+
+
 def test_census_parameter_guards():
     with pytest.raises(ValueError):
         list(even_census(1, 8))
