@@ -45,7 +45,10 @@ that star, each level in order of first appearance over the sorted
 facets.
 
 One private rule, `_maximal`, decides which faces of a collection are
-maximal.  Input from outside the program is checked where it enters:
+maximal.  It holds each face as the bitmask of its vertices, one bit per
+vertex, and keeps, from the largest masks down, each mask that no kept
+mask covers; `intersect` feeds the same rule the ANDs of the two facet
+lists' masks.  Input from outside the program is checked where it enters:
 `Complex(...)` rejects facets that are not increasing tuples or that contain
 one another, `Complex.from_facets` canonicalises each face and keeps the
 maximal ones, and `parse_complex` checks the facet file.  Everything built
@@ -60,7 +63,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
-from itertools import accumulate, chain, combinations, filterfalse, islice, repeat
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, islice, repeat
 from math import comb
 from operator import and_, or_
 from types import MappingProxyType
@@ -84,24 +87,41 @@ def face(vertices: Iterable[int]) -> Face:
     return vs
 
 
+def _vertex_bits(vertices: Iterable[int]) -> dict[int, int]:
+    """Each of the given distinct vertices with its own bit, in the order given."""
+    return dict(zip(vertices, map((1).__lshift__, count())))
+
+
+def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The vertex masks of the collection that no other mask of it covers.
+
+    Only a mask of more vertices can cover another, so the masks are taken
+    largest first, and each is kept when no mask kept before it covers it;
+    a repeat is covered by its first copy.
+    """
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if m | k == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def _maximal(faces: Iterable[Face]) -> frozenset[Face]:
     """The faces of the collection that no larger face of it contains.
 
-    Only a larger face can contain another, so the faces are grouped by size
-    and a collection of one size makes no subset test.
+    A collection of one size makes no containment test.  Otherwise each face
+    is held as the mask of its vertices, one bit for each vertex of the
+    collection, and the maximal masks are mapped back to their faces.
     """
-    by_size: dict[int, set[Face]] = {}
-    for f in faces:
-        by_size.setdefault(len(f), set()).add(f)
-    if len(by_size) <= 1:
-        return frozenset(*by_size.values())
-    keep: list[Face] = []
-    above: list[set[int]] = []  # vertex sets of the kept faces of larger sizes
-    for size in sorted(by_size, reverse=True):
-        level = [f for f in by_size[size] if not any(map(set(f).issubset, above))]
-        keep += level
-        above += map(set, level)
-    return frozenset(keep)
+    fs = set(faces)
+    if len(set(map(len, fs))) <= 1:
+        return frozenset(fs)
+    bit = _vertex_bits(set(chain.from_iterable(fs))).__getitem__
+    by_mask = {sum(map(bit, f)): f for f in fs}
+    return frozenset(map(by_mask.__getitem__, _maximal_masks(by_mask)))
 
 
 def _kept(compute: Callable[[_O], _T]) -> Callable[[_O], _T]:
@@ -332,14 +352,20 @@ def intersect(a: Complex, b: Complex) -> Complex:
     """Intersection of two complexes as face sets, by maximal faces.
 
     Every common face lies in some meet of a facet of a with a facet of b,
-    so the maximal common faces are the maximal pairwise meets.
+    so the maximal common faces are the maximal pairwise meets.  Each facet
+    is held as the mask of its vertices among those of a, bit i for the i-th
+    in increasing order, so a meet is the AND of two masks, and the maximal
+    meets are kept by the rule of `_maximal`.
     """
     if a.is_void or b.is_void:
         return Complex.void()
-    # the vertices of a sorted facet that lie in another form an increasing tuple
-    b_sets = [set(fb) for fb in b.maximal_faces]
-    return Complex._trusted(_maximal(
-        tuple(filter(sb.__contains__, fa)) for fa in a.maximal_faces for sb in b_sets))
+    verts = a.vertices
+    bit = _vertex_bits(verts)
+    own = [sum(map(bit.__getitem__, f)) for f in a.maximal_faces]
+    other = [sum(map(bit.get, f, repeat(0))) for f in b.maximal_faces]
+    kept = _maximal_masks({x & y for x in own for y in other})
+    bits = list(bit.values())
+    return Complex._trusted(frozenset(tuple(compress(verts, map(m.__and__, bits))) for m in kept))
 
 
 @_kept

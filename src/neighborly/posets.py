@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import le
+from operator import le, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -131,7 +131,7 @@ def antichain_lt(t: Antichain, s: Antichain) -> bool:
     """Every element of t lies strictly below some element of s, coordinatewise."""
     if (t.k, t.n, t.grid) != (s.k, s.n, s.grid):
         raise ValueError("antichains live in different ambient posets")
-    return all(any(all(x < y for x, y in zip(g, f)) for f in s) for g in t)
+    return all(any(all(map(lt, g, f)) for f in s) for g in t)
 
 
 def _down_set(top: tuple[int, ...], width: int, lo: int = 1) -> list[tuple[int, ...]]:

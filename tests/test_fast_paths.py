@@ -22,8 +22,8 @@ ball's patch in its ambient (shelling certificate, boundary, f-vector,
 h-vector, neighborliness and stackedness from one walk) against the full
 checks, with the walks and eliminations a census runs, its fallbacks to
 the full checks and the masks and holders of its balls it never builds,
-intersections by pairwise meets
-and antichain enumeration over comparability masks; every unchecked result against the checked
+intersections on vertex masks against common faces and against the
+pairwise meets as tuples, and antichain enumeration over comparability masks; every unchecked result against the checked
 constructor; and what a complex keeps staying out of equality, hashing,
 repr and pickles, and being kept once and never after an error."""
 
@@ -1263,12 +1263,23 @@ def scan_block(s, t, j):
     return Complex(facets) if facets else Complex.void()
 
 
+def meet_intersect(a, b):
+    """The maximal pairwise meets of the two facet lists, as tuples, kept by
+    a scan of every pair."""
+    if a.is_void or b.is_void:
+        return Complex.void()
+    # the vertices of a sorted facet that lie in another form an increasing tuple
+    b_sets = [set(fb) for fb in b.maximal_faces]
+    return Complex(maximal_by_scan(
+        tuple(filter(sb.__contains__, fa)) for fa in a.maximal_faces for sb in b_sets))
+
+
 def scan_intersection(s, t, j):
     """The intersection formula on blocks filtered out of the relative ideal."""
     dj1 = scan_block(s, t, j + 1)
     if dj1.is_void:
         raise ValueError("hypothesis of lemma violated")
-    lhs = intersect(scan_block(s, t, j), dj1)
+    lhs = meet_intersect(scan_block(s, t, j), dj1)
 
     def tails(l, m):
         return (ideal_with_min(restrict(s, (j + 1, j + 2 * l)), m)
@@ -1499,12 +1510,33 @@ def test_step_ok_matches_maximal_meets():
 def test_intersect_matches_common_faces():
     rng = random.Random(15)
     pool = PURE + MIXED + [Complex.void(), Complex.empty()]
+    pairs = []
     for _ in range(2_000):
         a, b = rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.2 and not b.is_void:
             # move b onto vertices a cannot have
             b = Complex(frozenset(tuple(v + 8 for v in f) for f in b.maximal_faces))
-        assert intersect(a, b) == common_faces_intersect(a, b), (a.maximal_faces, b.maximal_faces)
+        pairs.append((a, b))
+    # consecutive blocks, as the intersection formula meets them
+    for s, t in seeded_lemma_pairs(37, 40):
+        for j in range(1, s.n - 1):
+            if not block_D(s, t, j + 1).is_void:
+                pairs.append((block_D(s, t, j), block_D(s, t, j + 1)))
+    # meets of several sizes, where a small meet lies in a larger one or in
+    # none; meets of one size, tied or repeated; the empty and the void complex
+    a = Complex.from_facets([(1, 2, 3, 4), (3, 4, 5), (5, 6), (7,)])
+    for b in (Complex.from_facets([(1, 2, 3, 5), (2, 3, 4, 6), (4, 5, 7)]),
+              Complex.from_facets([(1, 2, 5, 6), (3, 4, 7), (2, 3, 5, 8)]),
+              Complex.from_facets([(1, 3, 6), (2, 4, 6), (1, 4, 5), (2, 3, 5)]),
+              Complex.from_facets([(1, 2, 8), (1, 2, 9), (3, 4, 8)]),
+              Complex.from_facets([(8, 9)]), Complex.empty(), Complex.void()):
+        pairs += [(a, b), (b, a)]
+    pairs += [(Complex.empty(), Complex.empty()), (Complex.void(), Complex.empty()),
+              (Complex.void(), Complex.void())]
+    for a, b in pairs:
+        got = intersect(a, b)
+        assert got == common_faces_intersect(a, b) == meet_intersect(a, b), \
+            (a.maximal_faces, b.maximal_faces)
 
 
 def recursive_find_shelling(c, budget, step_ok=gap_step_ok):
