@@ -30,7 +30,6 @@ from .posets import (
     antichain_lt,
     componentwise_leq,
     enumerate_antichains,
-    facet_to_grid,
     format_antichain,
     grid_points,
     grid_to_facet,

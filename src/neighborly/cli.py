@@ -46,11 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("antichains", help="antichains of grid points")
+    p = sub.add_parser("antichains", help="antichains of pair facets, one per line")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--contains-max", action="store_true",
-                   help="only antichains through the distinguished grid point")
+                   help="only antichains through the maximal-slope pair facet")
     p.add_argument("--count-only", action="store_true")
 
     p = sub.add_parser("ball", help="squeezed or relative ball of an antichain")

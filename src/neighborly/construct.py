@@ -270,7 +270,7 @@ def census(parity: str, k: int, n: int, jobs: int = 1,
         if ambient.verdict is not True:
             raise RuntimeError(f"ambient sphere is not {k}-neighborly: {ambient.witness}")
     own = {f: 1 << j for j, f in enumerate(delta.facets)}
-    down = {x: sum(own[y] for y in _down_set(x, 2)) for x in pair_facets(k, 1, n)}
+    down = {x: sum(own[y] for y in _down_set(x)) for x in pair_facets(k, 1, n)}
     make = partial(_entry, parity, k, n, down)
     if then is not None:
         make = partial(_then, then, make)

@@ -604,6 +604,9 @@ def parse_complex(text: str) -> Complex:
     if m is None:
         raise ValueError(f"bad header line: {lines[0]!r}")
     d, n = int(m.group(1)), int(m.group(2))
+    if d < 1:
+        # format_complex writes the empty complex as EMPTY, never as d=0
+        raise ValueError(f"facets need at least one vertex, got d={d}")
     facets = []
     for ln in lines[1:]:
         f = face(int(tok) for tok in ln.split())

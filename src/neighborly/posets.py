@@ -1,19 +1,24 @@
-"""Componentwise-ordered posets of pair facets and grid points, and their antichains.
+"""Componentwise-ordered posets of pair facets, and their antichains.
 
 A *pair facet* on [n] is a 2k-subset that splits into k runs of exactly
-two consecutive labels, recorded as its sorted tuple.  A *grid point* is a
-strictly increasing k-tuple x with 1 <= x_1 and x_k <= n-k; the bijection
-grid_to_facet sends x to the union of the pairs {x_j + j - 1, x_j + j} and
-is an isomorphism onto the pair facets ordered componentwise.  Both kinds
-of element compare by componentwise <=; the strict variant requires every
-coordinate to drop.  Antichains are stored sorted, and an antichain with
-k = 0 may contain the empty tuple as its only element.
+two consecutive labels, recorded as its sorted tuple.  Pair facets compare
+by componentwise <=; the strict variant requires every coordinate to drop.
+Antichains are stored sorted, and an antichain with k = 0 may contain the
+empty tuple as its only element.
+
+A *grid point* is a strictly increasing k-tuple x with 1 <= x_1 and
+x_k <= n-k; grid_to_facet sends x to the union of the pairs
+{x_j + j - 1, x_j + j} and is an isomorphism onto the pair facets ordered
+componentwise.  Grid points only enter and enumerate: an antichain of grid
+points (grid=True) is built, compared, shifted, printed and converted by
+`to_pair_facets`, and every ideal, restriction and ball built from an
+antichain refuses one (`_require_pair_facets`).
 
 `Antichain(...)` and `parse_antichain` check input from outside the program.
-The antichains that `enumerate_antichains` yields, the conversions
-between the two forms, and the results of `shift_down` and `restrict` are
-sorted, valid and pairwise incomparable by construction and go through the
-private unchecked constructor `Antichain._trusted`.
+The antichains that `enumerate_antichains` yields, the conversion to pair
+facets, and the results of `shift_down` and `restrict` are sorted, valid
+and pairwise incomparable by construction and go through the private
+unchecked constructor `Antichain._trusted`.
 
 An antichain keeps what is derived from it in its instance dict, computed
 at most once by `faces._kept`, the rule that keeps what a complex
@@ -113,13 +118,8 @@ class Antichain:
     def __bool__(self) -> bool:
         return bool(self.elements)
 
-    # grid_to_facet and facet_to_grid preserve both the componentwise and the
-    # lexicographic order, so a converted antichain is sorted and valid as is
-
-    def to_grid(self) -> "Antichain":
-        if self.grid:
-            return self
-        return Antichain._trusted(self.k, self.n, tuple(map(facet_to_grid, self.elements)), True)
+    # grid_to_facet preserves both the componentwise and the lexicographic
+    # order, so a converted antichain is sorted and valid as is
 
     def to_pair_facets(self) -> "Antichain":
         if not self.grid:
@@ -134,19 +134,19 @@ def antichain_lt(t: Antichain, s: Antichain) -> bool:
     return all(any(all(map(lt, g, f)) for f in s) for g in t)
 
 
-def _down_set(top: tuple[int, ...], width: int, lo: int = 1) -> list[tuple[int, ...]]:
-    """Elements componentwise below top whose smallest label is at least lo, sorted.
+def _require_pair_facets(s: Antichain) -> None:
+    """Refuse an antichain of grid points: ideals, restrictions and balls read pair facets."""
+    if s.grid:
+        raise ValueError("ideals, restrictions and balls are built from pair-facet antichains")
 
-    The elements are runs of `width` consecutive labels (1 for grid points, 2
-    for pair facets), each built as a tuple literal; each run starts after
-    the previous one ends and no later than the run of top in the same
-    position.
+
+def _down_set(top: Face, lo: int = 1) -> list[Face]:
+    """Pair facets componentwise below top whose smallest label is at least lo, sorted.
+
+    Each pair is built as a tuple literal; it starts after the previous pair
+    ends and no later than the pair of top in the same position.
     """
-    out: list[tuple[int, ...]] = [()]
-    if width == 1:
-        for t in top:
-            out = [x + (i,) for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
-        return out
+    out: list[Face] = [()]
     for t in top[::2]:
         out = [x + (i, i + 1) for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
     return out
@@ -159,7 +159,7 @@ def pair_facets(k: int, m: int, n: int) -> tuple[Face, ...]:
     """
     if k < 0 or m < 1:
         raise ValueError(f"bad parameters k={k}, m={m}")
-    return tuple(_down_set(tuple(range(n - 2 * k + 1, n + 1)), 2, m))
+    return tuple(_down_set(tuple(range(n - 2 * k + 1, n + 1)), m))
 
 
 def grid_points(k: int, n: int) -> tuple[GridPoint, ...]:
@@ -172,11 +172,6 @@ def grid_points(k: int, n: int) -> tuple[GridPoint, ...]:
 def grid_to_facet(x: GridPoint) -> Face:
     """Pair facet whose j-th pair starts at x_j + j - 1."""
     return tuple(v for j, xj in enumerate(x) for v in (xj + j, xj + j + 1))
-
-
-def facet_to_grid(f: Face) -> GridPoint:
-    """Inverse of grid_to_facet."""
-    return tuple(f[2 * j] - j for j in range(len(f) // 2))
 
 
 def max_slope_element(k: int, n: int) -> GridPoint:
@@ -195,35 +190,35 @@ def shift_down(s: Antichain) -> Antichain:
 
 
 @_kept
-def order_ideal(s: Antichain) -> frozenset[tuple[int, ...]]:
-    """Downward closure of s in its ambient poset: the union of its elements' down-sets."""
-    width = 1 if s.grid else 2
-    return frozenset(x for e in s for x in _down_set(e, width))
+def order_ideal(s: Antichain) -> frozenset[Face]:
+    """Downward closure of s among pair facets: the union of its elements' down-sets."""
+    _require_pair_facets(s)
+    return frozenset(x for e in s for x in _down_set(e))
 
 
 @_kept
-def ideal_by_lead(s: Antichain) -> Mapping[int, frozenset[tuple[int, ...]]]:
+def ideal_by_lead(s: Antichain) -> Mapping[int, frozenset[Face]]:
     """The order ideal of s split by leading label: each label j maps to the
     members that start at j.  The empty tuple has no label and is in no part."""
-    split: dict[int, list[tuple[int, ...]]] = {}
+    split: dict[int, list[Face]] = {}
     for x in order_ideal(s):
         if x:
             split.setdefault(x[0], []).append(x)
     return MappingProxyType({j: frozenset(xs) for j, xs in split.items()})
 
 
-def ideal_with_min(s: Antichain, m: int) -> frozenset[tuple[int, ...]]:
+def ideal_with_min(s: Antichain, m: int) -> frozenset[Face]:
     """Members of the order ideal of s whose smallest label is at least m.
 
     The empty facet has no labels and passes every such filter.  For m = 1
     this is the kept order ideal itself.
     """
+    _require_pair_facets(s)
     if m < 1:
         raise ValueError(f"minimum label must be at least 1, got {m}")
     if m == 1:
         return order_ideal(s)
-    width = 1 if s.grid else 2
-    return frozenset(x for e in s for x in _down_set(e, width, m))
+    return frozenset(x for e in s for x in _down_set(e, m))
 
 
 def maximal_elements(xs: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -270,8 +265,7 @@ def _run(s: Antichain, interval: tuple[int, int]) -> tuple[int, ...]:
     Refuses a grid antichain, an interval that is not such a run, and a run
     longer than the facets of s.
     """
-    if s.grid:
-        raise ValueError("restrict operates on pair-facet antichains")
+    _require_pair_facets(s)
     j, hi = interval
     length = hi - j + 1
     if length < 2 or length % 2 or j < 1:
@@ -285,6 +279,8 @@ def enumerate_antichains(
     k: int, n: int, must_contain: Iterable[int] | None = None,
 ) -> Iterator[Antichain]:
     """All antichains of grid points, in lexicographic order of their element lists.
+
+    They enter every ideal, restriction and ball by `to_pair_facets`.
 
     With must_contain, only antichains through that grid point are produced;
     elements comparable to it are pruned up front.

@@ -43,23 +43,11 @@ def _complex(facets: frozenset[Face]) -> Complex:
     return Complex._trusted(facets) if facets else Complex.void()
 
 
-def _require_pair_facets(s: Antichain) -> None:
-    if s.grid:
-        raise ValueError("squeezed balls are built from pair-facet antichains")
-
-
-def _ideal(s: Antichain, m: int) -> frozenset[Face]:
-    """Pair facets below some element of s with labels >= m."""
-    _require_pair_facets(s)
-    return ideal_with_min(s, m)
-
-
 def squeezed_ball(s: Antichain, m: int = 1) -> Complex:
     """Ball B(S, m): pair facets below some element of S with labels >= m."""
-    # a grid antichain, empty or not, gets _ideal's refusal
-    if not s.elements and not s.grid:
+    if not s.elements:
         raise ValueError("antichain must be non-empty")
-    return _complex(_ideal(s, m))
+    return _complex(ideal_with_min(s, m))
 
 
 def relative_ball(s: Antichain) -> Complex:
@@ -75,7 +63,7 @@ def _require_below(s: Antichain, t: Antichain) -> None:
 def relative_ball_general(s: Antichain, t: Antichain, i: int = 1) -> Complex:
     """Facets of B(S, i) not in B(T, i), for T strictly below S."""
     _require_below(s, t)
-    ball = _ideal(s, i)
+    ball = ideal_with_min(s, i)
     if not ball:
         raise ValueError(f"ball of {s.elements} with minimum label {i} is void")
     return _complex(ball - ideal_with_min(t, i))
@@ -87,7 +75,6 @@ def _blocks(s: Antichain, t: Antichain) -> Callable[[int], Complex]:
     _require_below(s, t)
     if s.k < 1:
         raise ValueError("blocks need at least one pair")
-    _require_pair_facets(s)
     upper, lower = ideal_by_lead(s), ideal_by_lead(t)
     return lambda j: _complex(upper.get(j, _NO_FACETS) - lower.get(j, _NO_FACETS))
 
@@ -142,7 +129,8 @@ def verify_decomposition(s: Antichain, i: int = 1) -> bool:
     if not s.elements:
         raise ValueError("antichain must be non-empty")
     if not 1 <= i < s.n:
-        # no pair starts at i or later, so nothing is pieced; ideal_with_min refuses i < 1
+        # no pair starts at i or later, so nothing is pieced; ideal_with_min
+        # refuses grid antichains and i < 1
         return not ideal_with_min(s, i)
     # refuses grid antichains and k = 0 as the restriction at [i, i+1] does
     _run(s, (i, i + 1))
@@ -178,20 +166,19 @@ def verify_intersection_formula(s: Antichain, t: Antichain, j: int) -> bool:
 def facet_count_relative(s: Antichain) -> int:
     """Number of facets of the relative ball, certified by an explicit bijection.
 
-    Translating each grid point of the relative ideal so its first coordinate
-    becomes 1 must biject onto the ideal of the single distinguished grid
-    point; the count is also cross-checked against the built relative ball.
+    Translating each pair facet of the relative ideal so its smallest label
+    becomes 1 must biject onto the ideal of the single distinguished pair
+    facet (translating a grid point by c translates its pair facet by c);
+    the count is also cross-checked against the built relative ball.  s may
+    hold pair facets or grid points.
     """
-    g = max_slope_element(s.k, s.n)
+    g = grid_to_facet(max_slope_element(s.k, s.n))
     pf = s.to_pair_facets()
-    if grid_to_facet(g) not in pf.elements:
+    if g not in pf.elements:
         raise ValueError("antichain must contain the maximal-slope element")
-    a = s.to_grid()
-    upper = order_ideal(a)
-    lower = order_ideal(shift_down(a))
-    band = upper - lower
-    image = {tuple(v - (x[0] - 1) for v in x) for x in band}
-    target = order_ideal(Antichain(s.k, s.n, (g,), grid=True))
+    band = order_ideal(pf) - order_ideal(shift_down(pf))
+    image = {tuple(v - (f[0] - 1) for v in f) for f in band}
+    target = order_ideal(Antichain(s.k, s.n, (g,)))
     if len(image) != len(band) or image != target:
         raise RuntimeError("translation bijection failed on the relative ideal")
     built = relative_ball(pf)

@@ -159,6 +159,12 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert run(["verify", "--input", path, "--check", "round"]) == 2
     assert run(["verify", "--input", str(tmp_path / "absent.txt"),
                 "--check", "ball"]) == 2
+    capsys.readouterr()
+    # at d = 0 a blank line would parse as the empty facet: the header is bad input
+    empty_facets = tmp_path / "d0.txt"
+    empty_facets.write_text("complex d=0 n=5\n\n\n1\n")
+    assert run(["verify", "--check", "sphere", "--input", str(empty_facets)]) == 2
+    assert capsys.readouterr() == ("", "error: facets need at least one vertex, got d=0\n")
 
 
 def test_shelling_search(tmp_path, capsys):

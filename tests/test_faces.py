@@ -313,3 +313,5 @@ def test_parse_rejects_malformed_input():
         parse_complex("complex d=2 n=3\n1 5\n")
     with pytest.raises(ValueError):
         parse_complex("no header\n1 2 3\n")
+    with pytest.raises(ValueError, match="at least one vertex"):
+        parse_complex("complex d=0 n=5\n\n\n1\n")

@@ -14,9 +14,12 @@ from down-sets (against runs built by `range`), maximal elements in one
 pass against a scan of every pair, what each antichain keeps (its order
 ideal, the ideal's split by leading label, its decomposition pieces) kept
 once, the lemma checks that read it against whole-set references and
-failing on doctored tables, the shelling step on facet bitmasks against gap and meet
-references, `is_shelling` against the gap reference, the shelling search
-on its own stack against a recursive one, each census ball decoded from
+failing on doctored tables, the facet count of a relative ball on pair
+facets against the count on grid points, every ideal, restriction and
+ball refusing an antichain of grid points with one guard, the shelling
+step on facet bitmasks against gap and meet references, `is_shelling`
+against the gap reference, the shelling search on its own stack against a
+recursive one, each census ball decoded from
 its mask of the ambient's facets against the relative ball, each census
 ball's patch in its ambient (shelling certificate, boundary, f-vector,
 h-vector, neighborliness and stackedness from one walk) against the full
@@ -61,7 +64,6 @@ from neighborly.posets import (
     antichain_lt,
     componentwise_leq,
     enumerate_antichains,
-    facet_to_grid,
     grid_points,
     grid_to_facet,
     ideal_by_lead,
@@ -76,6 +78,7 @@ from neighborly.posets import (
 from neighborly.squeezed import (
     _decomposition_pieces,
     block_D,
+    facet_count_relative,
     relative_ball,
     relative_ball_general,
     verify_decomposition,
@@ -1060,15 +1063,13 @@ def scan_maximal(xs):
 
 
 def scan_order_ideal(s):
-    """Every element of the ambient poset lying below some element of s."""
-    pool = combinations(range(1, s.n - s.k + 1), s.k) if s.grid else loop_pair_facets(s.k, 1, s.n)
-    return frozenset(x for x in pool if any(componentwise_leq(x, e) for e in s))
+    """Every pair facet lying below some element of s."""
+    return frozenset(x for x in loop_pair_facets(s.k, 1, s.n)
+                     if any(componentwise_leq(x, e) for e in s))
 
 
 def scan_restrict(s, interval):
     """Maximal tails after the run, read off the scanned order ideal."""
-    if s.grid:
-        raise ValueError("restrict operates on pair-facet antichains")
     j, hi = interval
     length = hi - j + 1
     if length < 2 or length % 2 or j < 1:
@@ -1098,6 +1099,23 @@ def random_antichains(seed):
 ANTICHAINS = random_antichains(13)
 
 
+def grid_form(s):
+    """The antichain of grid points that s, of pair facets, is the image of:
+    the j-th pair of a facet starts at x_j + j - 1."""
+    return Antichain(s.k, s.n, tuple(tuple(f[2 * j] - j for j in range(s.k)) for f in s), grid=True)
+
+
+GRID_REFUSAL = (ValueError, "ideals, restrictions and balls are built from pair-facet antichains")
+
+
+def assert_grid_refused(call, g):
+    """call(g) on an antichain g of grid points gets the one refusal, twice,
+    and g keeps nothing."""
+    for _ in range(2):
+        assert told(call, g) == GRID_REFUSAL, (call, g)
+        assert vars(g).keys() == FIELDS, (call, g)
+
+
 def outcome(fn, *args):
     """The result, or ValueError when the call rejects its arguments."""
     try:
@@ -1115,17 +1133,19 @@ def test_pair_facets_match_substitution_loop():
 
 def test_order_ideal_matches_poset_scan():
     for s in ANTICHAINS:
-        for a in (s, s.to_grid()):
-            assert order_ideal(a) == scan_order_ideal(a), a
+        assert order_ideal(s) == scan_order_ideal(s), s
+        assert_grid_refused(order_ideal, grid_form(s))
 
 
 def test_ideal_with_min_matches_filtered_scan():
     for s in ANTICHAINS:
-        for a in (s, s.to_grid()):
-            ideal = scan_order_ideal(a)
-            for m in range(1, s.n + 3):
-                want = frozenset(x for x in ideal if not x or x[0] >= m)
-                assert ideal_with_min(a, m) == want, (a, m)
+        ideal = scan_order_ideal(s)
+        for m in range(1, s.n + 3):
+            want = frozenset(x for x in ideal if not x or x[0] >= m)
+            assert ideal_with_min(s, m) == want, (s, m)
+        g = grid_form(s)
+        for m in range(0, s.n + 3):
+            assert_grid_refused(lambda a: ideal_with_min(a, m), g)
 
 
 MIXED_LENGTHS = re.compile(r"cannot compare tuples of lengths (\d+) and (\d+)")
@@ -1176,42 +1196,48 @@ KEPT_ON_ANTICHAINS = {"order_ideal", "ideal_by_lead", "_decomposition_pieces"}
 
 def test_order_ideal_is_kept_once_and_never_after_an_error():
     """A second call of order_ideal, ideal_by_lead or _decomposition_pieces
-    returns the object the first kept, for pair facets and grid points alike,
-    and ideal_with_min from 1 reads the ideal; a refused call raises again and
-    keeps nothing; equality, hashing, repr, pickles and copies read the four
-    fields only."""
+    returns the object the first kept, and ideal_with_min from 1 reads the
+    ideal; a refused call raises again and keeps nothing, and an antichain of
+    grid points gets the one refusal from each; equality, hashing, repr,
+    pickles and copies read the four fields only."""
     for s in ANTICHAINS:
-        for a in (copy.copy(s), s.to_grid()):
-            elsewhere = Antichain(a.k, a.n + 1, (), grid=a.grid)
-            refused = [lambda: ideal_with_min(a, 0), lambda: verify_decomposition(a, 0),
-                       lambda: block_D(a, elsewhere, 1)]
-            # no restriction of a grid antichain, nor of one with no pair,
-            # and none at all for n < 2
-            pieces_refused = (a.grid or a.k == 0) and a.n >= 2
-            if pieces_refused:
-                refused.append(lambda: _decomposition_pieces(a))
-            for call in refused:
-                for _ in range(2):
-                    with pytest.raises(ValueError):
-                        call()
-                    assert vars(a).keys() == FIELDS, (a, call)
-            first = order_ideal(a)
-            assert order_ideal(a) is first and vars(a)["order_ideal"] is first
-            assert ideal_with_min(a, 1) is first
-            split = ideal_by_lead(a)
-            assert ideal_by_lead(a) is split and vars(a)["ideal_by_lead"] is split
-            kept = {"order_ideal", "ideal_by_lead"}
-            if not pieces_refused:
-                pieces = _decomposition_pieces(a)
-                assert _decomposition_pieces(a) is pieces
-                assert vars(a)["_decomposition_pieces"] is pieces
-                kept = KEPT_ON_ANTICHAINS
-            assert vars(a).keys() == FIELDS | kept, a
-            fresh = Antichain(a.k, a.n, a.elements, grid=a.grid)
-            assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
-            assert len(pickle.dumps(a)) == len(pickle.dumps(fresh))
-            for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
-                assert twin == a and vars(twin).keys() == FIELDS
+        a = copy.copy(s)
+        elsewhere = Antichain(a.k, a.n + 1, ())
+        refused = [lambda: ideal_with_min(a, 0), lambda: verify_decomposition(a, 0),
+                   lambda: block_D(a, elsewhere, 1)]
+        # no restriction of an antichain with no pair, and none at all for n < 2
+        pieces_refused = a.k == 0 and a.n >= 2
+        if pieces_refused:
+            refused.append(lambda: _decomposition_pieces(a))
+        for call in refused:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    call()
+                assert vars(a).keys() == FIELDS, (a, call)
+        first = order_ideal(a)
+        assert order_ideal(a) is first and vars(a)["order_ideal"] is first
+        assert ideal_with_min(a, 1) is first
+        split = ideal_by_lead(a)
+        assert ideal_by_lead(a) is split and vars(a)["ideal_by_lead"] is split
+        kept = {"order_ideal", "ideal_by_lead"}
+        if not pieces_refused:
+            pieces = _decomposition_pieces(a)
+            assert _decomposition_pieces(a) is pieces
+            assert vars(a)["_decomposition_pieces"] is pieces
+            kept = KEPT_ON_ANTICHAINS
+        assert vars(a).keys() == FIELDS | kept, a
+        fresh = Antichain(a.k, a.n, a.elements)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert len(pickle.dumps(a)) == len(pickle.dumps(fresh))
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+            assert twin == a and vars(twin).keys() == FIELDS
+        grid_calls = [order_ideal, ideal_by_lead, lambda g: ideal_with_min(g, 1),
+                      lambda g: ideal_with_min(g, 0), lambda g: restrict(g, (1, 2))]
+        if s.n >= 2:
+            grid_calls.append(_decomposition_pieces)
+        g = grid_form(s)
+        for call in grid_calls:
+            assert_grid_refused(call, g)
 
 
 def test_blocks_read_the_ideals_kept_on_both_antichains():
@@ -1230,11 +1256,11 @@ def test_blocks_read_the_ideals_kept_on_both_antichains():
         assert relative_ball_general(s, t).maximal_faces == kept[0] - kept[2]
 
 
-def scan_down_set(top, width, lo=1):
-    """Elements below top from label lo, each run built by tuple(range(...))."""
+def scan_down_set(top, lo=1):
+    """Pair facets below top from label lo, each pair built by tuple(range(...))."""
     out = [()]
-    for t in top[::width]:
-        out = [x + tuple(range(i, i + width))
+    for t in top[::2]:
+        out = [x + tuple(range(i, i + 2))
                for x in out for i in range(x[-1] + 1 if x else lo, t + 1)]
     return out
 
@@ -1257,8 +1283,6 @@ def scan_block(s, t, j):
         raise ValueError("subtracted antichain must lie strictly below")
     if s.k < 1:
         raise ValueError("blocks need at least one pair")
-    if s.grid:
-        raise ValueError("squeezed balls are built from pair-facet antichains")
     facets = frozenset(x for x in order_ideal(s) - order_ideal(t) if x[0] == j)
     return Complex(facets) if facets else Complex.void()
 
@@ -1303,12 +1327,21 @@ def told(fn, *args):
 
 
 def test_down_set_matches_range_runs():
+    """Down-sets of pair facets against runs built by `range`, and against the
+    grid points below the grid point of each top, which grid_to_facet maps
+    onto them in order; the ideal of that grid point gets the one refusal."""
     for k in range(5):
         for n in range(2 * k + 5):
-            for tops, width in ((grid_points(k, n), 1), (loop_pair_facets(k, 1, n), 2)):
-                for top in tops:
-                    for lo in range(1, n + 2):
-                        assert _down_set(top, width, lo) == scan_down_set(top, width, lo), (top, lo)
+            for top in loop_pair_facets(k, 1, n):
+                for lo in range(1, n + 2):
+                    assert _down_set(top, lo) == scan_down_set(top, lo), (top, lo)
+            points = grid_points(k, n)
+            for x in points:
+                for lo in range(1, n + 2):
+                    below = [grid_to_facet(y) for y in points
+                             if componentwise_leq(y, x) and (not y or y[0] >= lo)]
+                    assert _down_set(grid_to_facet(x), lo) == below, (x, lo)
+                assert_grid_refused(order_ideal, Antichain(k, n, (x,), grid=True))
 
 
 def seeded_lemma_pairs(seed, count, k=4, n=12):
@@ -1356,9 +1389,10 @@ def test_lemma_checks_refuse_as_the_references_do():
     s = Antichain(2, 8, ((1, 2, 7, 8), (3, 4, 6, 7)))
     t = Antichain(2, 8, ((2, 3, 5, 6),))
     nothing = Antichain(0, 4, ((),))
+    sg, tg = grid_form(s), grid_form(t)
     decompositions = [(Antichain(2, 8, ()), 1), (s, 0), (s, -1), (s, 8), (s, 9),
                       (nothing, 0), (nothing, 1), (nothing, 3), (nothing, 4),
-                      (s.to_grid(), 0), (s.to_grid(), 1), (s.to_grid(), 7), (s.to_grid(), 8)]
+                      (sg, 0), (sg, 1), (sg, 7), (sg, 8)]
     seen = set()
     for a, i in decompositions:
         got = told(verify_decomposition, a, i)
@@ -1370,9 +1404,10 @@ def test_lemma_checks_refuse_as_the_references_do():
                     (ValueError, "minimum label must be at least 1, got -1"),
                     (ValueError, "interval longer than the facets: (1, 2)"),
                     (ValueError, "interval longer than the facets: (3, 4)"),
-                    (ValueError, "restrict operates on pair-facet antichains")}
-    pairs = [(s, s), (t, s), (s, t.to_grid()), (s.to_grid(), t), (s, Antichain(2, 9, ())),
-             (s.to_grid(), t.to_grid()), (nothing, Antichain(0, 4, ())),
+                    GRID_REFUSAL}
+    assert vars(sg).keys() == FIELDS
+    pairs = [(s, s), (t, s), (s, tg), (sg, t), (s, Antichain(2, 9, ())),
+             (sg, tg), (nothing, Antichain(0, 4, ())),
              (Antichain(2, 8, ()), Antichain(2, 8, ()))]
     seen = set()
     for a, b in pairs:
@@ -1385,8 +1420,9 @@ def test_lemma_checks_refuse_as_the_references_do():
                     (ValueError, "subtracted antichain must lie strictly below"),
                     (ValueError, "antichains live in different ambient posets"),
                     (ValueError, "blocks need at least one pair"),
-                    (ValueError, "squeezed balls are built from pair-facet antichains"),
+                    GRID_REFUSAL,
                     (ValueError, "hypothesis of lemma violated")}
+    assert vars(sg).keys() == vars(tg).keys() == FIELDS
 
 
 @pytest.mark.parametrize("s", [
@@ -1437,13 +1473,59 @@ def test_intersection_formula_fails_when_a_kept_split_loses_a_member():
     assert checked > 20
 
 
+def grid_facet_count_relative(s):
+    """The facet count of the relative ball certified on grid points: each grid
+    point of the relative ideal, translated so its first coordinate becomes
+    1, must biject onto the grid points below the distinguished one.  The
+    ideals are scanned from every grid point."""
+    g = max_slope_element(s.k, s.n)
+    pf = s.to_pair_facets()
+    if grid_to_facet(g) not in pf.elements:
+        raise ValueError("antichain must contain the maximal-slope element")
+
+    def ideal(tops):
+        return {x for x in grid_points(s.k, s.n) if any(componentwise_leq(x, e) for e in tops)}
+
+    a = grid_form(pf)
+    band = ideal(a) - ideal(shift_down(a))
+    image = {tuple(v - (x[0] - 1) for v in x) for x in band}
+    if len(image) != len(band) or image != ideal([g]):
+        raise RuntimeError("translation bijection failed on the relative ideal")
+    built = relative_ball(pf)
+    count = 0 if built.is_void else len(built.maximal_faces)
+    if count != len(band):
+        raise RuntimeError("relative ideal size disagrees with the built ball")
+    return len(band)
+
+
+def test_facet_count_on_pair_facets_matches_the_grid_point_count():
+    """facet_count_relative translates pair facets; the count on grid points
+    agrees on every census antichain for k = 2, n = 6..12 and k = 3,
+    n = 8..11, and on seeded (4, 12) antichains, in either form, including
+    ones without the distinguished element."""
+    inputs = [a for k, ns in ((2, range(6, 13)), (3, range(8, 12))) for n in ns
+              for a in enumerate_antichains(k, n, must_contain=max_slope_element(k, n))]
+    rng = random.Random(37)
+    family = list(enumerate_antichains(4, 12, must_contain=max_slope_element(4, 12)))
+    inputs += rng.sample(family, 200) + rng.sample(list(enumerate_antichains(4, 12)), 20)
+    counts = set()
+    for a in inputs:
+        for s in (a, a.to_pair_facets()):
+            got = told(facet_count_relative, s)
+            assert got == told(grid_facet_count_relative, s), s
+            counts.add(type(got))
+    assert counts == {int, tuple}
+
+
 def test_restrict_matches_ideal_scan():
     for s in ANTICHAINS:
         for j in range(s.n + 2):
             for l in range(s.k + 2):
                 interval = (j, j + 2 * l - 1)
                 assert outcome(restrict, s, interval) == outcome(scan_restrict, s, interval), (s, interval)
-        assert outcome(restrict, s.to_grid(), (1, 2)) is ValueError
+        g = grid_form(s)
+        for j in range(s.n + 2):
+            assert_grid_refused(lambda a: restrict(a, (j, j + 1)), g)
 
 
 def gap_step_ok(new, earlier):
@@ -1814,12 +1896,15 @@ def test_trusted_antichains_equal_checked_ones():
         assert pickle.loads(pickle.dumps(a)) == checked
         facets = Antichain(a.k, a.n, tuple(map(grid_to_facet, a.elements)))
         assert a.to_pair_facets() == facets and hash(a.to_pair_facets()) == hash(facets)
-        assert a.to_pair_facets().to_grid() == a
-        assert Antichain(a.k, a.n, tuple(map(facet_to_grid, facets.elements)), grid=True) == a
+        assert grid_form(facets) == a and facets.to_pair_facets() is facets
         assert pickle.loads(pickle.dumps(a.to_pair_facets())) == facets
     rng = random.Random(29)
     for s in ANTICHAINS + [a.to_pair_facets() for a in rng.sample(chains, 400)]:
-        built = [shift_down(s), shift_down(s.to_grid())]
+        g = grid_form(s)
+        built = [shift_down(s), shift_down(g)]
+        assert built[1].to_pair_facets() == built[0]
+        if s.k:
+            assert_grid_refused(lambda a: restrict(a, (1, 2)), g)
         for l in range(1, s.k + 1):
             j = rng.randint(1, max(1, s.n - 2 * l + 1))
             built.append(restrict(s, (j, j + 2 * l - 1)))

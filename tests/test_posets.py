@@ -10,7 +10,6 @@ from neighborly.posets import (
     antichain_lt,
     componentwise_leq,
     enumerate_antichains,
-    facet_to_grid,
     format_antichain,
     grid_points,
     grid_to_facet,
@@ -28,6 +27,8 @@ from oracles import antichain_count_bitmask, antichain_count_powerset
 
 S28 = Antichain(2, 8, ((1, 2, 7, 8), (3, 4, 6, 7)))
 T28 = Antichain(2, 8, ((2, 3, 5, 6),))
+S28_GRID = Antichain(2, 8, ((1, 6), (3, 5)), grid=True)
+GRID_REFUSAL = "ideals, restrictions and balls are built from pair-facet antichains"
 
 # five three-pair facets on [14] forming an antichain; the restriction
 # examples below are all read off from this one input
@@ -80,10 +81,8 @@ def test_grid_point_counts():
 def test_grid_facet_bijection():
     assert grid_to_facet((1, 3, 4)) == (1, 2, 4, 5, 6, 7)
     for k in range(1, 4):
-        for x in grid_points(k, 10):
-            f = grid_to_facet(x)
-            assert f in set(pair_facets(k, 1, 10))
-            assert facet_to_grid(f) == x
+        # onto the pair facets, one to one and in lexicographic order
+        assert tuple(map(grid_to_facet, grid_points(k, 10))) == pair_facets(k, 1, 10)
 
 
 def test_grid_map_is_an_order_isomorphism():
@@ -122,8 +121,15 @@ def test_antichain_validation():
 
 
 def test_antichain_grid_round_trip():
-    assert S28.to_grid().elements == ((1, 6), (3, 5))
-    assert S28.to_grid().to_pair_facets() == S28
+    """An antichain of grid points converts to pair facets; its ideal and
+    restrictions are refused with the one text, and it keeps nothing."""
+    assert S28_GRID.to_pair_facets() == S28
+    assert S28.to_pair_facets() is S28
+    for call in (order_ideal, lambda g: ideal_with_min(g, 1), lambda g: ideal_with_min(g, 0),
+                 lambda g: ideal_with_min(g, 3), lambda g: restrict(g, (1, 2))):
+        with pytest.raises(ValueError, match=GRID_REFUSAL):
+            call(S28_GRID)
+    assert vars(S28_GRID).keys() == {"k", "n", "elements", "grid"}
 
 
 def test_antichain_comparisons():
@@ -136,14 +142,15 @@ def test_antichain_comparisons():
 
 
 def test_antichain_lt_matches_the_ideal_of_the_shifted_antichain():
-    # x lies strictly below a grid point e exactly when x <= e - 1, and
-    # shift_down(s) holds the points e - 1 that are still grid points
+    # x lies strictly below a pair facet e exactly when x <= e - 1, and
+    # shift_down(s) holds the facets e - 1 that are still pair facets
     for k, n in ((2, 8), (3, 8), (3, 9)):
         chains = list(enumerate_antichains(k, n))
         for s in chains:
-            below = order_ideal(shift_down(s))
+            below = order_ideal(shift_down(s.to_pair_facets()))
+            assert shift_down(s).to_pair_facets() == shift_down(s.to_pair_facets())
             for t in chains:
-                want = all(x in below for x in t)
+                want = all(grid_to_facet(x) in below for x in t)
                 assert antichain_lt(t, s) == want, (t, s)
                 assert antichain_lt(t.to_pair_facets(), s.to_pair_facets()) == want, (t, s)
             assert not antichain_lt(s, s) or not s
@@ -188,8 +195,8 @@ def test_restrict_validation():
         restrict(S28, (1, 3))
     with pytest.raises(ValueError):
         restrict(S28, (1, 6))
-    with pytest.raises(ValueError):
-        restrict(S28.to_grid(), (1, 2))
+    with pytest.raises(ValueError, match=GRID_REFUSAL):
+        restrict(S28_GRID, (1, 2))
 
 
 def test_enumerate_antichains_chain_poset():

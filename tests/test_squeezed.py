@@ -2,8 +2,10 @@
 
 import pytest
 
+from neighborly import squeezed
 from neighborly.cyclic import cyclic_boundary
 from neighborly.faces import (
+    Complex,
     f_vector,
     h_vector,
     intersect,
@@ -23,6 +25,10 @@ from neighborly.squeezed import (
 
 S28 = Antichain(2, 8, ((1, 2, 7, 8), (3, 4, 6, 7)))
 T28 = Antichain(2, 8, ((2, 3, 5, 6),))
+# the same antichains as grid points: the j-th pair starts at x_j + j - 1
+S28_GRID = Antichain(2, 8, ((1, 6), (3, 5)), grid=True)
+T28_GRID = Antichain(2, 8, ((2, 4),), grid=True)
+GRID_REFUSAL = "ideals, restrictions and balls are built from pair-facet antichains"
 REL_FACETS = frozenset({
     (1, 2, 6, 7), (1, 2, 7, 8), (2, 3, 6, 7), (3, 4, 5, 6), (3, 4, 6, 7)})
 
@@ -53,8 +59,11 @@ def test_squeezed_ball_degenerate_inputs():
     assert squeezed_ball(Antichain(2, 4, ((1, 2, 3, 4),)), 2).is_void
     with pytest.raises(ValueError, match="non-empty"):
         squeezed_ball(Antichain(2, 8, ()))
-    with pytest.raises(ValueError):
-        squeezed_ball(S28.to_grid())
+    with pytest.raises(ValueError, match=GRID_REFUSAL):
+        squeezed_ball(S28_GRID)
+    # an empty antichain is refused as empty in either form
+    with pytest.raises(ValueError, match="non-empty"):
+        squeezed_ball(Antichain(2, 8, (), grid=True))
 
 
 def test_relative_ball_worked_example():
@@ -104,9 +113,15 @@ def test_relative_ball_general_guards():
 
 
 def test_grid_antichains_are_refused():
-    for build in (lambda s, t: relative_ball_general(s, t, 1), lambda s, t: block_D(s, t, 1)):
-        with pytest.raises(ValueError, match="pair-facet antichains"):
-            build(S28.to_grid(), T28.to_grid())
+    assert S28_GRID.to_pair_facets() == S28 and T28_GRID.to_pair_facets() == T28
+    for build in (lambda s, t: relative_ball_general(s, t, 1), lambda s, t: block_D(s, t, 1),
+                  lambda s, t: block_Gamma(s, t, 1, 1),
+                  lambda s, t: verify_intersection_formula(s, t, 1),
+                  lambda s, t: relative_ball(s), lambda s, t: verify_decomposition(s, 1),
+                  lambda s, t: verify_decomposition(s, 8)):
+        with pytest.raises(ValueError, match=GRID_REFUSAL):
+            build(S28_GRID, T28_GRID)
+    assert vars(S28_GRID).keys() == vars(T28_GRID).keys() == {"k", "n", "elements", "grid"}
 
 
 def test_blocks_by_leading_pair():
@@ -165,7 +180,7 @@ def test_intersection_formula_requires_next_block():
 
 
 def test_facet_count_values():
-    assert facet_count_relative(S28) == 5
+    assert facet_count_relative(S28) == facet_count_relative(S28_GRID) == 5
     assert facet_count_relative(Antichain(3, 10, ((1, 2, 7, 8, 9, 10),))) == 15
     assert facet_count_relative(Antichain(2, 6, ((1, 2, 5, 6),))) == 3
 
@@ -173,6 +188,30 @@ def test_facet_count_values():
 def test_facet_count_requires_distinguished_element():
     with pytest.raises(ValueError, match="maximal-slope"):
         facet_count_relative(T28)
+
+
+def test_facet_count_refuses_a_doctored_ideal(monkeypatch):
+    """Dropping the top element of S from S's ideal breaks the translation
+    bijection onto the ideal of the distinguished pair facet."""
+    real = squeezed.order_ideal
+    monkeypatch.setattr(squeezed, "order_ideal",
+                        lambda a: real(a) - {max(a.elements)} if a == S28 else real(a))
+    with pytest.raises(RuntimeError, match="translation bijection failed"):
+        facet_count_relative(S28)
+
+
+@pytest.mark.parametrize("dropped", [1, 5], ids=["one-facet", "every-facet"])
+def test_facet_count_refuses_a_doctored_ball(monkeypatch, dropped):
+    """A built relative ball with facets missing disagrees with the count."""
+    real = squeezed.relative_ball
+
+    def doctored(a):
+        kept = sorted(real(a).maximal_faces)[dropped:]
+        return Complex.from_facets(kept) if kept else Complex.void()
+
+    monkeypatch.setattr(squeezed, "relative_ball", doctored)
+    with pytest.raises(RuntimeError, match="relative ideal size disagrees"):
+        facet_count_relative(S28)
 
 
 def test_relative_ball_h_vector_tail_vanishes():

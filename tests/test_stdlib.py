@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the Python standard library."""
+"""The runtime imports nothing outside the Python standard library, and only
+`posets` tells antichains of grid points from antichains of pair facets."""
 
 import ast
 import re
@@ -30,3 +31,18 @@ def test_runtime_imports_are_stdlib():
 def test_package_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def attribute_reads(path, name):
+    """Line numbers of every `x.name` in one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_only_posets_reads_the_grid_flag():
+    """Grid points only enter and enumerate: every other module takes an
+    antichain as pair facets, and `posets` refuses one of grid points."""
+    reads = {path.name: attribute_reads(path, "grid") for path in SOURCES}
+    assert reads.pop("posets.py")
+    assert not any(reads.values()), reads
