@@ -25,12 +25,16 @@ when the AND of its vertices' facet masks is not zero, and that AND is
 the bitmask of the facets holding it.  `in` and `link` read it off
 directly.  The faces themselves are enumerated by one walk, one size at a
 time, each size in lexicographic order: a face extends by each later
-vertex that keeps the AND non-zero.  The f-vector counts the walk's
-levels, `all_faces` lists them, `verify` reads neighborliness off the
-length of one level, and stackedness off the f-vectors of a ball and of
-its boundary.  The walk reads the masks of one complex only.  Given a mask
-of facets, it keeps the faces whose AND meets it: the faces of the
-subcomplex those facets generate, walked on the whole complex's masks.
+vertex that keeps the AND non-zero.  `_walk` holds each face by its AND
+only; `_levels` walks the same way over every facet with each face
+carrying its vertices.  The f-vector counts `_walk`'s levels and `verify`
+reads neighborliness off the length of one level, and stackedness off
+the f-vectors of a ball and of its boundary; `all_faces` lists the levels
+of `_levels`, the homology takes its cells from them, and `verify` its
+stackedness witness.  The walk reads the masks of one complex only.
+Given a mask of facets, `_walk` keeps the faces whose AND meets it: the
+faces of the subcomplex those facets generate, walked on the whole
+complex's masks.
 
 `_ridge_holders` holds the mask of the facets holding each ridge F - v of
 each facet F.  The ridge map, the ridge degrees (`_ridge_degrees`), which
@@ -41,8 +45,8 @@ over those holding each face for its link.
 
 The mod-2 homology eliminates over the chain complex relative to the star
 of the vertex in the most facets, whose cells are only the faces outside
-that star, each level in order of first appearance over the sorted
-facets.
+that star, those whose AND misses the vertex's mask, each level in
+lexicographic walk order.
 
 One private rule, `_maximal`, decides which faces of a collection are
 maximal.  It holds each face as the bitmask of its vertices, one bit per
@@ -63,7 +67,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
-from itertools import accumulate, chain, combinations, compress, count, filterfalse, islice, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
 from math import comb
 from operator import and_, or_
 from types import MappingProxyType
@@ -281,25 +285,28 @@ def _walk(c: Complex, within: int = -1) -> Iterator[list[tuple[int, int]]]:
                  for mask1, after in later[start] if (meet := mask & mask1) & within]
 
 
-def all_faces(c: Complex, k: int) -> frozenset[Face]:
-    """Every face of dimension at most k (the k-skeleton as a face set).
+def _levels(c: Complex) -> Iterator[list[tuple[Face, int, int]]]:
+    """The faces of c one size at a time, as `_walk` finds them over every
+    facet, each carrying its vertices, which `_walk` leaves out to stay
+    fast: a face is held as (its vertices, the AND of their masks, the index
+    in c's sorted vertices of the first vertex that may follow it)."""
+    verts = c.vertices
+    own = list(map(vertex_masks(c).__getitem__, verts))
+    level: list[tuple[Face, int, int]] = [((), -1, 0)]
+    while level:
+        yield level
+        level = [(t + (verts[j],), meet, j + 1) for t, mask, start in level
+                 for j in range(start, len(verts)) if (meet := mask & own[j])]
 
-    The faces are found as `_walk` finds them, each carrying its vertices,
-    which the walk leaves out to stay fast.
-    """
+
+def all_faces(c: Complex, k: int) -> frozenset[Face]:
+    """Every face of dimension at most k (the k-skeleton as a face set): the
+    first k + 2 levels of `_levels`."""
     if c.is_void:
         raise ValueError("void has no faces")
     if k < -1:
         raise ValueError(f"skeleton dimension must be >= -1, got {k}")
-    verts = c.vertices
-    own = list(map(vertex_masks(c).__getitem__, verts))
-    level: list[tuple[Face, int, int]] = [((), -1, 0)]
-    faces = [()]
-    for _ in range(min(k, c.dimension) + 1):
-        level = [(t + (verts[j],), meet, j + 1) for t, mask, start in level
-                 for j in range(start, len(verts)) if (meet := mask & own[j])]
-        faces += (t for t, _, _ in level)
-    return frozenset(faces)
+    return frozenset(t for level in islice(_levels(c), k + 2) for t, _, _ in level)
 
 
 def link(c: Complex, t: Iterable[int]) -> Complex:
@@ -526,10 +533,11 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     acyclic and the long exact sequence of the pair (c, star v) gives
     H~_i(c) = H_i(c, star v) (the first coreduction of Mrozek and Batko,
     "Coreduction homology algorithm", 2009).  The cells of the relative
-    chain complex are the faces outside the star: the faces of the facets
-    that miss v, less the faces of the links F - {v} of the facets F that
-    hold v.  v is the vertex in the most facets, ties to the smallest label,
-    which leaves the fewest cells; the empty face lies in every star.
+    chain complex are the faces outside the star, those that no facet
+    holding v holds: the faces of each level of `_levels` whose AND has no
+    bit in v's facet mask.  v is the vertex in the most facets, ties to the
+    smallest label, which leaves the fewest cells; the empty face lies in
+    every star.
 
     The ranks of the relative boundary matrices are found from the top
     dimension down with clearing (Chen and Kerber, "Persistent homology
@@ -543,19 +551,11 @@ def z2_reduced_betti(c: Complex) -> tuple[int, ...]:
     dim = c.dimension
     if dim < 0:
         return (1,)  # the empty complex: the empty face is a cycle
-    facets = c.facets
     masks = vertex_masks(c)
-    v = min(c.vertices, key=lambda u: -masks[u].bit_count())
-    outside = [f for f in facets if v not in f]
-    links = [tuple(filter(v.__ne__, f)) for f in facets if v in f]
-    # cells[s] = faces of size s outside the star; any fixed order is
-    # correct, and first-seen order over the sorted facets keeps the
-    # reductions short
-    cells: list[dict[Face, None]] = [{}]
-    for s in range(1, dim + 2):
-        star = set(chain.from_iterable(map(combinations, links, repeat(s))))
-        cells.append(dict.fromkeys(filterfalse(
-            star.__contains__, chain.from_iterable(map(combinations, outside, repeat(s))))))
+    star = masks[min(c.vertices, key=lambda u: -masks[u].bit_count())]
+    # cells[s] = faces of size s outside the star, in walk order; any fixed
+    # order is correct
+    cells = [[t for t, meet, _ in level if not meet & star] for level in _levels(c)]
     # ranks[s] = rank of the boundary map from cells of size s to size s-1
     ranks = [0] * (dim + 3)
     cleared: set[int] = set()  # indices into cells[s] of columns to skip

@@ -31,6 +31,7 @@ from .faces import (
     FVector,
     HVector,
     _holding,
+    _levels,
     _ridge_degrees,
     _ridge_holders,
     _step_pairs,
@@ -101,17 +102,19 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
     It is decided two ways: b and its boundary have as many faces of each
     size up to dim-r, and, from the f-vector, h_i = 0 for i > r; the two
     must agree.  The boundary's faces are faces of b, so equal counts mean
-    equal levels.  The witness, sought only on failure, is the least face
-    of the first size whose counts differ that is not a boundary face.
+    equal levels.  b is closed, and refused, when every ridge lies in two
+    facets (`faces._ridge_degrees`).  The witness, sought only on failure,
+    is the first face of b's walk (`faces._levels`) of the first size whose
+    counts differ that is not a boundary face: the walk lists each level in
+    lexicographic order, so it is the least such face.
     """
     if b.is_void or not b.is_pure:
         raise ValueError("stackedness requires a pure non-void complex")
     if r < 0:
         raise ValueError(f"stackedness parameter must be >= 0, got {r}")
-    bd = boundary_complex(b)
-    # a point's boundary is the empty complex too, but one facet is never closed
-    if bd.is_empty and len(b.maximal_faces) > 1:
+    if _ridge_degrees(b) == {2}:
         raise ValueError("closed complex")
+    bd = boundary_complex(b)
     dim = b.dimension
     # a non-empty boundary has faces of every size up to dim, and a point's has the empty face
     counts, bd_counts = f_vector(b), f_vector(bd)
@@ -123,7 +126,7 @@ def is_r_stacked(b: Complex, r: int) -> Certificate:
         raise RuntimeError(
             f"stackedness checks disagree (skeleton {by_skeleton}, h-vector {by_h}, h={h})")
     witness = None if by_skeleton else next(
-        t for t in combinations(b.vertices, missing) if _holding(b, t) and not _holding(bd, t))
+        t for t, _, _ in next(islice(_levels(b), missing, None)) if not _holding(bd, t))
     return Certificate(f"stacked({r})", by_skeleton, witness=witness)
 
 
@@ -303,10 +306,11 @@ def ball_sanity(c: Complex) -> Certificate:
     connected, trivial mod-2 homology, and a boundary passing sphere_sanity.
 
     Whether a ridge lies in three or more facets is read off the ridge
-    degrees, and the ridge map is built only for the witness.  Connectivity
-    is the star of the empty face, searched as every face link is (a ball
-    pinched at a vertex has the homology of a point), and whether c is
-    closed is read off the boundary that is certified anyway.
+    degrees, and so is whether c is closed, every ridge in two facets; the
+    ridge map is built only for the witness.  Connectivity is the star of
+    the empty face, searched as every face link is (a ball pinched at a
+    vertex has the homology of a point).  The boundary is built only for
+    the last check, `sphere_sanity`.
     """
     if c.is_void:
         raise ValueError("void complex")
@@ -318,16 +322,14 @@ def ball_sanity(c: Complex) -> Certificate:
     if max(_ridge_degrees(c)) > 2:
         r, ms = next((r, ms) for r, ms in ridge_facets(c).items() if len(ms) > 2)
         return Certificate(name, False, witness={"ridge": r, "facet_count": len(ms)})
-    boundary = boundary_complex(c)
-    # a point's boundary is the empty complex too, but one facet is never closed
-    if boundary.is_empty and len(c.maximal_faces) > 1:
+    if _ridge_degrees(c) == {2}:
         return Certificate(name, False, witness={"reason": "closed"})
     if not strongly_connected(c):
         return Certificate(name, False, witness={"reason": "disconnected"})
     betti = z2_reduced_betti(c)
     if any(betti):
         return Certificate(name, False, witness={"betti": betti})
-    sub = sphere_sanity(boundary)
+    sub = sphere_sanity(boundary_complex(c))
     if sub.verdict is not True:
         return Certificate(name, False, witness={"boundary": sub.as_dict()})
     return Certificate(name, True)

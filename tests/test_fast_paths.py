@@ -35,7 +35,7 @@ import operator
 import pickle
 import random
 import re
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 
 import pytest
 
@@ -219,14 +219,18 @@ SURFACES = [Complex(frozenset(TORUS)), Complex(frozenset(RP2))]
 CYCLIC = [Complex(cyclic_boundary(d, n).maximal_faces)
           for d in range(2, 8) for n in range(d + 1, 11)]
 CENSUS_4_10 = [c for e in even_census(4, 10) for c in (e.ball, boundary_complex(e.ball), e.sphere)]
+# 9-balls, their boundary 8-spheres and sewn 9-spheres of k = 5, fresh so nothing the
+# census kept is read
+CENSUS_5_13 = [Complex(c.maximal_faces) for e in islice(even_census(5, 13), 2)
+               for c in (e.ball, boundary_complex(e.ball), e.sphere)]
 
 
 @pytest.mark.parametrize("complexes", [PURE, MIXED, NON_PURE, CENSUS, ODD_CENSUS, CONES,
                                        TWO_SPHERES, TIED, POINTS, SURFACES, CYCLIC,
-                                       CENSUS_4_10],
+                                       CENSUS_4_10, CENSUS_5_13],
                          ids=["pure", "mixed", "non-pure", "census", "odd-census", "cones",
                               "two-spheres", "tied", "points", "surfaces", "cyclic",
-                              "census-4-10"])
+                              "census-4-10", "census-5-13"])
 def test_clearing_betti_matches_full_elimination(complexes):
     for c in complexes:
         assert z2_reduced_betti(c) == slow_z2_reduced_betti(c), c.facets
